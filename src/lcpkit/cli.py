@@ -43,7 +43,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -56,6 +56,8 @@ from .features import (
     FeatureConfig,
     FeatureSchema,
     LexiconTagger,
+    lexicon_names,
+    with_families,
 )
 from .forest import ForestConfig, load_model, save_model
 from .lexicons import LexiconRegistry, LexiconSpec, coverage, load_lexicon
@@ -81,48 +83,25 @@ class RunConfig:
     seed: int = 0
     threads: int = 1
     preset: str | None = None
+    # the feature settings carry FeatureConfig's field names and defaults
     enabled: frozenset[str] | None = None
-    trigram_min_count: int = 5
-    trigram_max_vocab: int = 700
-    frequency_source: str = "lexicon"
+    trigram_min_count: int = FeatureConfig.trigram_min_count
+    trigram_max_vocab: int = FeatureConfig.trigram_max_vocab
+    frequency_source: str = FeatureConfig.frequency_source
     forest: ForestConfig = field(default_factory=ForestConfig)
     forest_seed_set: bool = False
     lexicons: dict[str, LexiconSpec] = field(default_factory=dict)
     pos_lexicon: str | None = None
 
     def feature_config(self) -> FeatureConfig:
-        kwargs = dict(
-            trigram_min_count=self.trigram_min_count,
-            trigram_max_vocab=self.trigram_max_vocab,
-            frequency_source=self.frequency_source,
-        )
-        if self.preset is not None:
-            return FeatureConfig.preset(self.preset, **kwargs)
-        if self.enabled is not None:
-            return FeatureConfig(enabled=self.enabled, **kwargs)
-        return FeatureConfig.preset("baseline", **kwargs)
+        settings = {f.name: getattr(self, f.name) for f in fields(FeatureConfig) if f.name != "enabled"}
+        if self.preset is None and self.enabled is not None:
+            return FeatureConfig(enabled=self.enabled, **settings)
+        return FeatureConfig.preset("baseline" if self.preset is None else self.preset, **settings)
 
     def forest_config(self) -> ForestConfig:
         seed = self.forest.seed if self.forest_seed_set else self.seed
         return replace(self.forest, seed=seed)
-
-
-_ALLOWED_KEYS = {
-    "data": {"train", "test", "dev_fraction", "eval_on"},
-    "features": {"preset", "enabled", "trigram_min_count", "trigram_max_vocab", "frequency_source"},
-    "forest": {
-        "n_trees",
-        "max_features_per_split",
-        "min_samples_leaf",
-        "min_samples_split",
-        "max_depth",
-        "bootstrap",
-        "seed",
-    },
-    "run": {"seed", "threads"},
-    "pos": {"tag_lexicon"},
-}
-_LEXICON_KEYS = {"path", "kind", "term_column", "value_column", "lowercase", "skip_rows"}
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -147,6 +126,10 @@ def _parse_float(raw: str, where: str) -> float:
         raise DataError(f"config {where}: expected a number, got {raw!r}") from None
 
 
+def _parse_str(raw: str, where: str) -> str:
+    return raw
+
+
 def parse_enabled_list(raw: str) -> frozenset[str]:
     families = frozenset(f.strip() for f in raw.split(",") if f.strip())
     if not families:
@@ -155,6 +138,31 @@ def parse_enabled_list(raw: str) -> frozenset[str]:
     if unknown:
         raise DataError(f"unknown feature families: {sorted(unknown)}")
     return families
+
+
+#: Parser of a config value, by the annotation of the field it sets.
+_PARSERS = {
+    "str": _parse_str,
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "int | None": lambda raw, where: None if raw.lower() == "none" else _parse_int(raw, where),
+    "frozenset[str]": lambda raw, where: parse_enabled_list(raw),
+}
+
+#: Every ``[section] key`` of the run config: the RunConfig attribute it sets
+#: (``forest.NAME`` is field NAME of the forest config) and its parser.
+_KEYS = {
+    ("data", "train"): ("train_path", _parse_str),
+    ("data", "test"): ("test_path", _parse_str),
+    ("data", "dev_fraction"): ("dev_fraction", _parse_float),
+    ("data", "eval_on"): ("eval_on", _parse_str),
+    ("features", "preset"): ("preset", _parse_str),
+    **{("features", f.name): (f.name, _PARSERS[f.type]) for f in fields(FeatureConfig)},
+    **{("forest", f.name): (f"forest.{f.name}", _PARSERS[f.type]) for f in fields(ForestConfig)},
+    ("run", "seed"): ("seed", _parse_int),
+    ("run", "threads"): ("threads", _parse_int),
+    ("pos", "tag_lexicon"): ("pos_lexicon", _parse_str),
+}
 
 
 def load_run_config(path: str | None) -> RunConfig:
@@ -177,67 +185,31 @@ def load_run_config(path: str | None) -> RunConfig:
             if not name:
                 raise DataError(f"config section [{section}]: empty lexicon name")
             keys = dict(parser.items(section))
-            unknown = keys.keys() - _LEXICON_KEYS
+            spec = {f.name: f for f in fields(LexiconSpec) if f.name != "name"}
+            unknown = keys.keys() - spec.keys()
             if unknown:
                 raise DataError(f"config section [{section}]: unknown keys {sorted(unknown)}")
             if "path" not in keys:
                 raise DataError(f"config section [{section}]: missing required key 'path'")
             cfg.lexicons[name] = LexiconSpec(
                 name=name,
-                path=keys["path"],
-                kind=keys.get("kind", "continuous"),
-                term_column=_parse_int(keys.get("term_column", "0"), f"[{section}] term_column"),
-                value_column=_parse_int(keys.get("value_column", "1"), f"[{section}] value_column"),
-                lowercase=_parse_bool(keys.get("lowercase", "true"), f"[{section}] lowercase"),
-                skip_rows=_parse_int(keys.get("skip_rows", "0"), f"[{section}] skip_rows"),
+                **{k: _PARSERS[spec[k].type](raw, f"[{section}] {k}") for k, raw in keys.items()},
             )
             continue
-        if section not in _ALLOWED_KEYS:
+        if section not in {s for s, _ in _KEYS}:
             raise DataError(f"config file {path}: unknown section [{section}]")
         keys = dict(parser.items(section))
-        unknown = keys.keys() - _ALLOWED_KEYS[section]
+        unknown = [key for key in keys if (section, key) not in _KEYS]
         if unknown:
             raise DataError(f"config section [{section}]: unknown keys {sorted(unknown)}")
         for key, raw in keys.items():
-            where = f"[{section}] {key}"
-            if section == "data":
-                if key == "train":
-                    cfg.train_path = raw
-                elif key == "test":
-                    cfg.test_path = raw
-                elif key == "dev_fraction":
-                    cfg.dev_fraction = _parse_float(raw, where)
-                elif key == "eval_on":
-                    cfg.eval_on = raw
-            elif section == "features":
-                if key == "preset":
-                    cfg.preset = raw
-                elif key == "enabled":
-                    cfg.enabled = parse_enabled_list(raw)
-                elif key == "trigram_min_count":
-                    cfg.trigram_min_count = _parse_int(raw, where)
-                elif key == "trigram_max_vocab":
-                    cfg.trigram_max_vocab = _parse_int(raw, where)
-                elif key == "frequency_source":
-                    cfg.frequency_source = raw
-            elif section == "forest":
-                if key == "max_depth":
-                    depth = None if raw.lower() == "none" else _parse_int(raw, where)
-                    cfg.forest = replace(cfg.forest, max_depth=depth)
-                elif key == "bootstrap":
-                    cfg.forest = replace(cfg.forest, bootstrap=_parse_bool(raw, where))
-                elif key == "seed":
-                    cfg.forest = replace(cfg.forest, seed=_parse_int(raw, where))
-                    cfg.forest_seed_set = True
-                else:
-                    cfg.forest = replace(cfg.forest, **{key: _parse_int(raw, where)})
-            elif section == "run":
-                if key == "seed":
-                    cfg.seed = _parse_int(raw, where)
-                elif key == "threads":
-                    cfg.threads = _parse_int(raw, where)
-            elif section == "pos":
-                cfg.pos_lexicon = raw
+            target, parse = _KEYS[section, key]
+            value = parse(raw, f"[{section}] {key}")
+            if target.startswith("forest."):
+                cfg.forest = replace(cfg.forest, **{key: value})
+                cfg.forest_seed_set |= key == "seed"
+            else:
+                setattr(cfg, target, value)
     return cfg
 
 
@@ -250,8 +222,6 @@ def _apply_common_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "train", None):
         cfg.train_path = args.train
     if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise UsageError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
         cfg.preset = args.preset
     if getattr(args, "features", None):
         cfg.enabled = parse_enabled_list(args.features)
@@ -260,6 +230,8 @@ def _apply_common_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.dev_fraction = args.dev_fraction
     if getattr(args, "eval_on", None):
         cfg.eval_on = args.eval_on
+    if cfg.threads < 0:
+        raise UsageError(f"threads must be >= 0 (0 = auto), got {cfg.threads}")
     return cfg
 
 
@@ -274,34 +246,22 @@ def _read_file(path: str, what: str) -> bytes:
         raise ResourceError(f"cannot read {what} {path}: {exc}") from None
 
 
-def needed_lexicon_names(feature_config: FeatureConfig, configured: set[str]) -> list[str]:
-    """Registry names that must be loaded for the enabled feature families."""
-    needed: list[str] = []
-    enabled = feature_config.enabled
-    if "aoa" in enabled:
-        needed.extend(n for n in ("aoa_1981", "aoa_2017") if n in configured)
-    for fam in ("prevalence", "concreteness_brysbaert", "concreteness_mrc", "familiarity_mrc", "arousal"):
-        if fam in enabled and fam in configured:
-            needed.append(fam)
-    if "prior_complexity" in enabled:
-        needed.extend(sorted(n for n in configured if n.startswith("prior_complexity")))
-    if "frequency" in enabled and feature_config.frequency_source == "lexicon" and "frequency" in configured:
-        needed.append("frequency")
-    return needed
-
-
-def build_registry(cfg: RunConfig, feature_config: FeatureConfig) -> LexiconRegistry:
+def load_resources(
+    cfg: RunConfig, feature_config: FeatureConfig
+) -> tuple[LexiconRegistry, LexiconTagger | None, list[str]]:
+    """The lexicons and the POS tagger that the enabled families read, and
+    the files they came from."""
     registry = LexiconRegistry()
-    for name in needed_lexicon_names(feature_config, set(cfg.lexicons)):
+    paths = []
+    for name in lexicon_names(feature_config, cfg.lexicons):
         spec = cfg.lexicons[name]
         registry.add(load_lexicon(spec, _read_file(spec.path, f"lexicon {name!r}")))
-    return registry
-
-
-def load_tagger(cfg: RunConfig, feature_config: FeatureConfig) -> LexiconTagger | None:
-    if "pos" not in feature_config.enabled or cfg.pos_lexicon is None:
-        return None
-    return LexiconTagger.load(_read_file(cfg.pos_lexicon, "pos lexicon"))
+        paths.append(spec.path)
+    tagger = None
+    if "pos" in feature_config.enabled and cfg.pos_lexicon is not None:
+        tagger = LexiconTagger.load(_read_file(cfg.pos_lexicon, "pos lexicon"))
+        paths.append(cfg.pos_lexicon)
+    return registry, tagger, paths
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +273,20 @@ def _sha256(data: bytes) -> str:
 
 
 def _config_snapshot(cfg: RunConfig) -> dict:
-    feature = cfg.feature_config()
-    forest = cfg.forest_config()
-    snap = {
-        "data.train": cfg.train_path,
-        "data.test": cfg.test_path,
-        "data.dev_fraction": cfg.dev_fraction,
-        "data.eval_on": cfg.eval_on,
-        "features.enabled": ",".join(sorted(feature.enabled)),
-        "features.preset": cfg.preset,
-        "features.trigram_min_count": feature.trigram_min_count,
-        "features.trigram_max_vocab": feature.trigram_max_vocab,
-        "features.frequency_source": feature.frequency_source,
-        "forest.n_trees": forest.n_trees,
-        "forest.max_features_per_split": forest.max_features_per_split,
-        "forest.min_samples_leaf": forest.min_samples_leaf,
-        "forest.min_samples_split": forest.min_samples_split,
-        "forest.max_depth": forest.max_depth,
-        "forest.bootstrap": forest.bootstrap,
-        "forest.seed": forest.seed,
-        "run.seed": cfg.seed,
-        "pos.tag_lexicon": cfg.pos_lexicon,
+    """Every config key as the run resolved it: the feature and forest
+    entries come from the configs that ran. The thread count is left out,
+    because it never changes an output byte."""
+    ran = {
+        f"{section}.{f.name}": getattr(config, f.name)
+        for section, config in (("features", cfg.feature_config()), ("forest", cfg.forest_config()))
+        for f in fields(config)
     }
+    snap = {}
+    for (section, key), (target, _) in _KEYS.items():
+        if (section, key) != ("run", "threads"):
+            name = f"{section}.{key}"
+            snap[name] = ran[name] if name in ran else getattr(cfg, target)
+    snap["features.enabled"] = ",".join(sorted(ran["features.enabled"]))
     for name, spec in sorted(cfg.lexicons.items()):
         snap[f"lexicon.{name}"] = spec.path
     return snap
@@ -388,22 +340,13 @@ def _require(value, flag: str):
     return value
 
 
-def _dataset_inputs(cfg: RunConfig, feature_config: FeatureConfig) -> list[str]:
-    paths = [cfg.train_path] if cfg.train_path else []
-    paths += [cfg.lexicons[n].path for n in needed_lexicon_names(feature_config, set(cfg.lexicons))]
-    if "pos" in feature_config.enabled and cfg.pos_lexicon:
-        paths.append(cfg.pos_lexicon)
-    return paths
-
-
 def cmd_train(args) -> int:
     cfg = _apply_common_flags(load_run_config(args.config), args)
     train_path = _require(cfg.train_path, "--train")
     feature_config = cfg.feature_config()
     instances = parse_dataset(_read_file(train_path, "training dataset"), has_gold=True)
     split = split_train_dev(instances, cfg.dev_fraction, cfg.seed)
-    registry = build_registry(cfg, feature_config)
-    tagger = load_tagger(cfg, feature_config)
+    registry, tagger, resources = load_resources(cfg, feature_config)
     result = fit_and_evaluate(
         split,
         registry,
@@ -425,7 +368,7 @@ def cmd_train(args) -> int:
         model_path,
         "train",
         cfg,
-        _dataset_inputs(cfg, feature_config),
+        [train_path, *resources],
         [model_path.name, schema_path.name],
     )
     _say(args, f"model written to {model_path}")
@@ -440,9 +383,12 @@ def cmd_predict(args) -> int:
     model = load_model(model_bytes)
     schema_path = args.schema or args.model + ".schema.json"
     schema = FeatureSchema.from_json(_read_file(schema_path, "schema file"))
-    feature_config = schema.config
-    registry = build_registry(cfg, feature_config)
-    tagger = load_tagger(cfg, feature_config)
+    # The model's own feature settings replace the run config's, so the
+    # manifest records what ran.
+    cfg.preset = None
+    for f in fields(FeatureConfig):
+        setattr(cfg, f.name, getattr(schema.config, f.name))
+    registry, tagger, resources = load_resources(cfg, schema.config)
     instances = parse_dataset(_read_file(args.input, "input dataset"), has_gold=False)
     scores = predict_scores(instances, schema, model, registry, tagger)
     lines = ["id\tprediction\tband"]
@@ -453,8 +399,7 @@ def cmd_predict(args) -> int:
         out_path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     except OSError as exc:
         raise ResourceError(f"cannot write predictions: {exc}") from None
-    inputs = [args.model, schema_path, args.input]
-    inputs += [cfg.lexicons[n].path for n in needed_lexicon_names(feature_config, set(cfg.lexicons))]
+    inputs = [args.model, schema_path, args.input, *resources]
     write_manifest(out_path, "predict", cfg, inputs, [out_path.name])
     _say(args, f"{len(instances)} predictions written to {out_path}")
     return 0
@@ -517,14 +462,10 @@ def cmd_ablate(args) -> int:
     train_path = _require(cfg.train_path, "--train")
     candidates = [c.strip() for c in args.candidates.split(",") if c.strip()]
     baseline = cfg.feature_config()
-    all_families = FeatureConfig(enabled=frozenset(baseline.enabled | set(candidates)),
-                                 frequency_source=baseline.frequency_source,
-                                 trigram_min_count=baseline.trigram_min_count,
-                                 trigram_max_vocab=baseline.trigram_max_vocab)
+    all_families = with_families(baseline, *candidates)
     instances = parse_dataset(_read_file(train_path, "training dataset"), has_gold=True)
     split = split_train_dev(instances, cfg.dev_fraction, cfg.seed)
-    registry = build_registry(cfg, all_families)
-    tagger = load_tagger(cfg, all_families)
+    registry, tagger, resources = load_resources(cfg, all_families)
     rows = run_ablation(
         split,
         registry,
@@ -541,7 +482,7 @@ def cmd_ablate(args) -> int:
         report_path.write_bytes(text.encode("utf-8"))
     except OSError as exc:
         raise ResourceError(f"cannot write report: {exc}") from None
-    write_manifest(report_path, "ablate", cfg, _dataset_inputs(cfg, all_families), [report_path.name])
+    write_manifest(report_path, "ablate", cfg, [train_path, *resources], [report_path.name])
     for row in rows:
         _say(args, f"{row.label}: {_metrics_line(row.report)}")
     return 0
@@ -587,71 +528,46 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None, help="tree building threads, 0 = auto (default: 1)")
     common.add_argument("--quiet", action="store_true", help="suppress informational output (default: off)")
 
+    # flags of the commands that fit models; ablate reads the features as its baseline
+    fitting = _Parser(add_help=False)
+    fitting.add_argument("--train", metavar="PATH", help="labeled training dataset TSV")
+    fitting.add_argument("--preset", choices=sorted(PRESETS), default=None, help="feature preset (default: baseline)")
+    fitting.add_argument("--features", metavar="LIST", default=None, help="comma-separated feature families")
+    fitting.add_argument("--dev-fraction", type=float, default=None, help="held-out fraction (default: 0.2)")
+    fitting.add_argument("--eval-on", choices=["dev", "train"], default=None, help="evaluation side (default: dev)")
+
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser(
-        "train",
-        parents=[common],
-        help="fit a model and report dev metrics",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    p.add_argument("--train", metavar="PATH", help="labeled training dataset TSV")
-    p.add_argument("--model", metavar="PATH", required=True, help="output model file")
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None, help="feature preset (default: baseline)")
-    p.add_argument("--features", metavar="LIST", default=None, help="comma-separated feature families")
-    p.add_argument("--dev-fraction", type=float, default=None, help="held-out fraction (default: 0.2)")
-    p.add_argument("--eval-on", choices=["dev", "train"], default=None, help="evaluation side (default: dev)")
-    p.set_defaults(func=cmd_train)
+    def command(name, func, help, parents=()):
+        p = sub.add_parser(
+            name, parents=[common, *parents], help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser(
-        "predict",
-        parents=[common],
-        help="score an unlabeled dataset with a trained model",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("train", cmd_train, "fit a model and report dev metrics", [fitting])
+    p.add_argument("--model", metavar="PATH", required=True, help="output model file")
+
+    p = command("predict", cmd_predict, "score an unlabeled dataset with a trained model")
     p.add_argument("--model", metavar="PATH", required=True, help="trained model file")
     p.add_argument("--schema", metavar="PATH", default=None, help="schema sidecar (default: MODEL.schema.json)")
     p.add_argument("--input", metavar="PATH", required=True, help="unlabeled dataset TSV")
     p.add_argument("--output", metavar="PATH", required=True, help="output predictions TSV")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser(
-        "evaluate",
-        parents=[common],
-        help="score a predictions file against gold labels",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("evaluate", cmd_evaluate, "score a predictions file against gold labels")
     p.add_argument("--pred", metavar="PATH", required=True, help="predictions TSV (id, prediction)")
     p.add_argument("--gold", metavar="PATH", required=True, help="labeled dataset TSV")
     p.add_argument("--report", metavar="PATH", default=None, help="optional rendered report file")
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown", help="report format")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser(
-        "ablate",
-        parents=[common],
-        help="baseline-plus-one-feature ablation report",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    p.add_argument("--train", metavar="PATH", help="labeled training dataset TSV")
+    p = command("ablate", cmd_ablate, "baseline-plus-one-feature ablation report", [fitting])
     p.add_argument("--candidates", metavar="LIST", default="", help="comma-separated candidate families")
     p.add_argument("--report", metavar="PATH", required=True, help="output report file")
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown", help="report format")
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None, help="baseline preset (default: baseline)")
-    p.add_argument("--features", metavar="LIST", default=None, help="baseline families, comma-separated")
-    p.add_argument("--dev-fraction", type=float, default=None, help="held-out fraction (default: 0.2)")
-    p.add_argument("--eval-on", choices=["dev", "train"], default=None, help="evaluation side (default: dev)")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser(
-        "coverage",
-        parents=[common],
-        help="lexicon coverage of distinct training targets",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("coverage", cmd_coverage, "lexicon coverage of distinct training targets")
     p.add_argument("--train", metavar="PATH", help="labeled training dataset TSV")
     p.add_argument("--lexicon", metavar="NAME", required=True, help="configured lexicon name")
-    p.set_defaults(func=cmd_coverage)
     return parser
 
 

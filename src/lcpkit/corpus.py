@@ -20,9 +20,6 @@ logger = logging.getLogger(__name__)
 
 _HEADER = ["id", "corpus", "sentence", "token", "complexity"]
 
-#: Subcorpus names used by the multi-domain corpus; anything else is kept verbatim.
-KNOWN_SUBCORPORA = ("bible", "europarl", "biomed")
-
 
 class BandLabel(enum.Enum):
     """Five-point Likert band for a complexity score in [0, 1]."""

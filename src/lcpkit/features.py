@@ -1,18 +1,13 @@
 """Feature schema fitting and per-instance vector extraction.
 
-Feature families (config names):
-
-* ``length``, ``syllables``, ``frequency`` - statistical features
-* ``char_bigrams``, ``char_trigrams`` - character n-gram counts plus two
-  aggregate columns (mean and min of log(1 + training count))
-* ``aoa``, ``prevalence``, ``concreteness_brysbaert``, ``concreteness_mrc``,
-  ``familiarity_mrc``, ``arousal``, ``prior_complexity`` - lexicon lookups,
-  each with a paired 0/1 coverage indicator column and training-mean imputation
-* ``pos`` - one-hot tag from a pluggable tagger over a 12-tag universal set
-
-Column order is fixed: statistical block, lexicon scalars with indicators,
-POS one-hot, n-gram aggregates, n-gram count columns. Extraction is total:
-missing data is imputed, never raised.
+A feature family is a group of columns that the config switches on or off
+as one (``length``, ``char_trigrams``, ``aoa``, ``pos``, ...). ``BLOCKS`` at
+the end of this module is the single description of every family: the
+order of its columns in the schema, the registry lexicons it reads, what it
+fits on the training rows and how it fills its columns. ``FEATURE_FAMILIES``,
+``resolve_family_lexicons``, ``lexicon_names``, ``fit_schema`` and
+``extract_matrix`` are all read off that table. Extraction is total: missing
+data is imputed, never raised.
 """
 
 from __future__ import annotations
@@ -20,8 +15,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import IO, Mapping, Protocol, Sequence
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from typing import IO, Callable, Collection, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -31,33 +27,6 @@ from .forest import columns_fingerprint
 from .lexicons import BINARY, Lexicon, LexiconRegistry, lookup, merge_average, merge_binary_union
 
 VOWELS = frozenset("aeiouy")
-
-FEATURE_FAMILIES = (
-    "length",
-    "syllables",
-    "frequency",
-    "char_bigrams",
-    "char_trigrams",
-    "aoa",
-    "prevalence",
-    "concreteness_brysbaert",
-    "concreteness_mrc",
-    "familiarity_mrc",
-    "arousal",
-    "pos",
-    "prior_complexity",
-)
-
-#: Lexicon-backed scalar families in schema column order.
-LEXICON_FAMILIES = (
-    "aoa",
-    "prevalence",
-    "concreteness_brysbaert",
-    "concreteness_mrc",
-    "familiarity_mrc",
-    "arousal",
-    "prior_complexity",
-)
 
 #: 12-tag universal part-of-speech set used by the one-hot block.
 POS_TAGSET = ("ADJ", "ADP", "ADV", "CONJ", "DET", "NOUN", "NUM", "PRON", "PRT", "VERB", "X", ".")
@@ -183,60 +152,53 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class FeatureColumn:
-    name: str
-    kind: str  # scalar | onehot | ngram_count
-    impute: float = 0.0
-
-
-@dataclass(frozen=True)
 class FeatureSchema:
     """Fitted, ordered feature description.
 
     Everything extraction needs besides the lexicon registry itself lives
     here: imputation means, n-gram vocabularies with their training counts,
     the POS tagset and (for the corpus-internal source) frequency counts.
+    ``columns`` holds the column names, in ``BLOCKS`` order.
     """
 
     config: FeatureConfig
-    impute: Mapping[str, float]
-    bigram_vocab: tuple[str, ...]
-    trigram_vocab: tuple[str, ...]
-    bigram_counts: Mapping[str, int]
-    trigram_counts: Mapping[str, int]
-    pos_tagset: tuple[str, ...]
-    internal_frequency: Mapping[str, int] | None
-    columns: tuple[FeatureColumn, ...] = field(default=())
+    impute: Mapping[str, float] = field(default_factory=dict)
+    bigram_vocab: tuple[str, ...] = ()
+    trigram_vocab: tuple[str, ...] = ()
+    bigram_counts: Mapping[str, int] = field(default_factory=dict)
+    trigram_counts: Mapping[str, int] = field(default_factory=dict)
+    pos_tagset: tuple[str, ...] = POS_TAGSET
+    internal_frequency: Mapping[str, int] | None = None
+    columns: tuple[str, ...] = field(init=False)
+    _layout: tuple[tuple[Block, slice], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.columns:
-            object.__setattr__(self, "columns", tuple(_build_columns(self)))
+        columns: list[str] = []
+        layout = []
+        for block in _enabled_blocks(self.config):
+            names = block.columns(self)
+            layout.append((block, slice(len(columns), len(columns) + len(names))))
+            columns.extend(names)
+        object.__setattr__(self, "columns", tuple(columns))
+        object.__setattr__(self, "_layout", tuple(layout))
+
+    @cached_property
+    def _vocab_index(self) -> dict[str, dict[str, int]]:
+        """Position of each gram in its vocabulary, by ``bigram``/``trigram``."""
+        vocabs = {"bigram": self.bigram_vocab, "trigram": self.trigram_vocab}
+        return {name: {g: j for j, g in enumerate(vocab)} for name, vocab in vocabs.items()}
 
     def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
+        return list(self.columns)
 
     def fingerprint(self) -> str:
-        return columns_fingerprint(self.column_names())
+        return columns_fingerprint(self.columns)
 
     def to_json(self) -> str:
-        doc = {
-            "version": 1,
-            "config": {
-                "enabled": sorted(self.config.enabled),
-                "trigram_min_count": self.config.trigram_min_count,
-                "trigram_max_vocab": self.config.trigram_max_vocab,
-                "frequency_source": self.config.frequency_source,
-            },
-            "impute": dict(self.impute),
-            "bigram_vocab": list(self.bigram_vocab),
-            "trigram_vocab": list(self.trigram_vocab),
-            "bigram_counts": dict(self.bigram_counts),
-            "trigram_counts": dict(self.trigram_counts),
-            "pos_tagset": list(self.pos_tagset),
-            "internal_frequency": None
-            if self.internal_frequency is None
-            else dict(self.internal_frequency),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        doc["config"] = {f.name: getattr(self.config, f.name) for f in fields(FeatureConfig)}
+        doc["config"]["enabled"] = sorted(self.config.enabled)
+        doc["version"] = 1
         return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
 
     @classmethod
@@ -248,61 +210,247 @@ class FeatureSchema:
         if not isinstance(doc, dict) or doc.get("version") != 1:
             raise DataError("schema file: missing or unsupported version")
         try:
-            cfg = FeatureConfig(
-                enabled=frozenset(doc["config"]["enabled"]),
-                trigram_min_count=doc["config"]["trigram_min_count"],
-                trigram_max_vocab=doc["config"]["trigram_max_vocab"],
-                frequency_source=doc["config"]["frequency_source"],
-            )
-            return cls(
-                config=cfg,
-                impute={k: float(v) for k, v in doc["impute"].items()},
-                bigram_vocab=tuple(doc["bigram_vocab"]),
-                trigram_vocab=tuple(doc["trigram_vocab"]),
-                bigram_counts={k: int(v) for k, v in doc["bigram_counts"].items()},
-                trigram_counts={k: int(v) for k, v in doc["trigram_counts"].items()},
-                pos_tagset=tuple(doc["pos_tagset"]),
-                internal_frequency=None
-                if doc["internal_frequency"] is None
-                else {k: int(v) for k, v in doc["internal_frequency"].items()},
-            )
+            fitted = {
+                f.name: _FROM_JSON[f.type](doc[f.name])
+                for f in fields(cls)
+                if f.init and f.name != "config"
+            }
+            cfg = FeatureConfig(**{f.name: doc["config"][f.name] for f in fields(FeatureConfig)})
+            return cls(config=cfg, **fitted)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"schema file: bad content: {exc}") from None
 
 
-def _build_columns(schema: FeatureSchema) -> list[FeatureColumn]:
-    enabled = schema.config.enabled
-    cols: list[FeatureColumn] = []
-    if "length" in enabled:
-        cols.append(FeatureColumn("length", "scalar"))
-    if "syllables" in enabled:
-        cols.append(FeatureColumn("syllables", "scalar"))
-    if "frequency" in enabled:
-        cols.append(FeatureColumn("frequency", "scalar", 0.0))
-        cols.append(FeatureColumn("frequency_present", "scalar"))
-    for fam in LEXICON_FAMILIES:
-        if fam in enabled:
-            cols.append(FeatureColumn(fam, "scalar", schema.impute[fam]))
-            cols.append(FeatureColumn(f"{fam}_present", "scalar"))
-    if "pos" in enabled:
-        cols.extend(FeatureColumn(f"pos={t}", "onehot") for t in schema.pos_tagset)
-    if "char_bigrams" in enabled:
-        cols.append(FeatureColumn("bigram_log_mean", "scalar"))
-        cols.append(FeatureColumn("bigram_log_min", "scalar"))
-    if "char_trigrams" in enabled:
-        cols.append(FeatureColumn("trigram_log_mean", "scalar"))
-        cols.append(FeatureColumn("trigram_log_min", "scalar"))
-    if "char_bigrams" in enabled:
-        cols.extend(FeatureColumn(f"bi:{g}", "ngram_count") for g in schema.bigram_vocab)
-    if "char_trigrams" in enabled:
-        cols.extend(FeatureColumn(f"tri:{g}", "ngram_count") for g in schema.trigram_vocab)
-    return cols
+def _counts(doc: dict) -> dict[str, int]:
+    return {k: int(v) for k, v in doc.items()}
 
 
-_FAMILY_REGISTRY_HINTS = {
-    "aoa": "aoa_1981 and/or aoa_2017",
-    "prior_complexity": "one or more prior_complexity_* entries",
+#: How a fitted schema field is read back from JSON, by its annotation.
+_FROM_JSON = {
+    "tuple[str, ...]": tuple,
+    "Mapping[str, float]": lambda doc: {k: float(v) for k, v in doc.items()},
+    "Mapping[str, int]": _counts,
+    "Mapping[str, int] | None": lambda doc: None if doc is None else _counts(doc),
 }
+
+
+@dataclass
+class _Rows:
+    """Instances with what the blocks read for them: the stripped target
+    token (the lookup key), each family's lexicon view and the tagger."""
+
+    instances: Sequence[Instance]
+    views: Mapping[str, Lexicon]
+    tagger: Tagger | None
+    keys: list[str] = field(init=False)
+
+    def __post_init__(self):
+        self.keys = [inst.token.strip() for inst in self.instances]
+
+    def lookup(self, family: str) -> list[float | None]:
+        """The family's lexicon value for every key, None where it has none."""
+        return [lookup(self.views[family], key) for key in self.keys]
+
+
+@dataclass(frozen=True)
+class Block:
+    """A run of adjacent schema columns owned by one feature family.
+
+    ``columns`` names the block's columns from a fitted schema. ``lexicons``
+    gives the registry names the family reads under a config (a trailing
+    ``*`` matches every name with that prefix; the missing-resource error
+    lists them), and ``merge`` turns the lexicons found into the family's
+    one view. ``fit`` adds the block's fitted state to the schema fields
+    being built; ``fill`` writes the block's columns for every row into its
+    slice of the feature matrix.
+    """
+
+    family: str
+    columns: Callable[[FeatureSchema], tuple[str, ...]]
+    fill: Callable[[_Rows, FeatureSchema, np.ndarray], None]
+    fit: Callable[[_Rows, FeatureConfig, dict], None] | None = None
+    lexicons: Callable[[FeatureConfig], tuple[str, ...]] = lambda config: ()
+    merge: Callable[[list[Lexicon]], Lexicon] = lambda found: found[0]
+
+
+def _per_key(value: Callable[[str], int]) -> Callable[[_Rows, FeatureSchema, np.ndarray], None]:
+    """Fill for a one-column block computed from the target token alone."""
+
+    def fill(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
+        out[:, 0] = [value(key) for key in rows.keys]
+
+    return fill
+
+
+def _fill_pair(out: np.ndarray, found: list, missing: float) -> None:
+    """A value column (``missing`` where nothing was found) and its 0/1
+    presence indicator."""
+    out[:, 0] = [missing if v is None else v for v in found]
+    out[:, 1] = [v is not None for v in found]
+
+
+def _fill_frequency(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
+    if schema.config.frequency_source == "corpus_internal":
+        counts = schema.internal_frequency or {}
+        raw = [counts.get(key.lower()) for key in rows.keys]
+    else:
+        raw = rows.lookup("frequency")
+    _fill_pair(out, [None if v is None else math.log1p(max(float(v), 0.0)) for v in raw], 0.0)
+
+
+def _fit_frequency(rows: _Rows, config: FeatureConfig, state: dict) -> None:
+    if config.frequency_source == "corpus_internal":
+        counter: Counter = Counter()
+        for inst in rows.instances:
+            counter.update(inst.sentence.lower().split())
+        state["internal_frequency"] = dict(counter)
+
+
+def _lexicon_block(family: str, names: tuple[str, ...] | None = None, merge=Block.merge) -> Block:
+    """A lexicon lookup and its coverage indicator; uncovered targets get the
+    mean value over the covered training targets."""
+
+    def fit(rows: _Rows, config: FeatureConfig, state: dict) -> None:
+        values = [v for v in rows.lookup(family) if v is not None]
+        if not values:
+            raise ResourceError(
+                f"lexicon for feature family '{family}' covers none of the training targets"
+            )
+        state.setdefault("impute", {})[family] = float(np.mean(values))
+
+    def fill(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
+        _fill_pair(out, rows.lookup(family), schema.impute[family])
+
+    columns = (family, f"{family}_present")
+    return Block(family, lambda schema: columns, fill, fit, lambda config: names or (family,), merge)
+
+
+def _average(found: list[Lexicon]) -> Lexicon:
+    return found[0] if len(found) == 1 else merge_average(*found)
+
+
+def _union(found: list[Lexicon]) -> Lexicon:
+    bad = [lex.name for lex in found if lex.kind != BINARY]
+    if bad:
+        raise ResourceError(f"feature family 'prior_complexity': lexicons {bad} are not binary")
+    return found[0] if len(found) == 1 else merge_binary_union(found)
+
+
+def _require_tagger(rows: _Rows) -> Tagger:
+    if rows.tagger is None:
+        raise ResourceError("feature family 'pos' is enabled but no tagger is configured")
+    return rows.tagger
+
+
+def _fill_pos(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
+    tagger = _require_tagger(rows)
+    tags = [pos_tag(inst.token, inst.sentence, tagger, schema.pos_tagset) for inst in rows.instances]
+    out[:] = np.array(tags, dtype=str)[:, None] == np.array(schema.pos_tagset, dtype=str)
+
+
+def _ngram_blocks(n: int, name: str, prefix: str) -> tuple[Block, Block]:
+    """The aggregate block (mean and min of log(1 + training count) over the
+    target's n-grams) and the count block (one column per vocabulary gram)
+    of one character n-gram family.
+
+    The vocabulary keeps grams with training count >= trigram_min_count,
+    most frequent first (ties lexicographic), capped at trigram_max_vocab.
+    """
+    family = f"char_{name}s"
+
+    def fit(rows: _Rows, config: FeatureConfig, state: dict) -> None:
+        counter: Counter = Counter()
+        for key in rows.keys:
+            counter.update(char_ngrams(key, n))
+        kept = sorted(
+            ((g, c) for g, c in counter.items() if c >= config.trigram_min_count),
+            key=lambda gc: (-gc[1], gc[0]),
+        )[: config.trigram_max_vocab]
+        state[f"{name}_vocab"] = tuple(g for g, _ in kept)
+        state[f"{name}_counts"] = dict(kept)
+
+    def fill_logs(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
+        counts = getattr(schema, f"{name}_counts")
+        logs = [[math.log1p(counts.get(g, 0)) for g in char_ngrams(key, n)] for key in rows.keys]
+        out[:, 0] = [sum(row) / len(row) for row in logs]
+        out[:, 1] = [min(row) for row in logs]
+
+    def fill_counts(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
+        index = schema._vocab_index[name]
+        hits = [
+            (i, j)
+            for i, key in enumerate(rows.keys)
+            for g in char_ngrams(key, n)
+            if (j := index.get(g)) is not None
+        ]
+        if hits:
+            np.add.at(out, tuple(np.array(hits).T), 1.0)
+
+    return (
+        Block(family, lambda schema: (f"{name}_log_mean", f"{name}_log_min"), fill_logs, fit=fit),
+        Block(family, lambda s: tuple(prefix + g for g in getattr(s, f"{name}_vocab")), fill_counts),
+    )
+
+
+_BIGRAM_LOGS, _BIGRAM_COUNTS = _ngram_blocks(2, "bigram", "bi:")
+_TRIGRAM_LOGS, _TRIGRAM_COUNTS = _ngram_blocks(3, "trigram", "tri:")
+
+#: Every column block in schema column order; the schema holds the blocks of
+#: the enabled families. A new family is added here, and only here.
+BLOCKS: tuple[Block, ...] = (
+    Block("length", lambda schema: ("length",), _per_key(len)),
+    Block("syllables", lambda schema: ("syllables",), _per_key(syllable_count)),
+    Block(
+        "frequency",
+        lambda schema: ("frequency", "frequency_present"),
+        _fill_frequency,
+        fit=_fit_frequency,
+        lexicons=lambda config: ("frequency",) if config.frequency_source == "lexicon" else (),
+    ),
+    _lexicon_block("aoa", ("aoa_1981", "aoa_2017"), _average),
+    _lexicon_block("prevalence"),
+    _lexicon_block("concreteness_brysbaert"),
+    _lexicon_block("concreteness_mrc"),
+    _lexicon_block("familiarity_mrc"),
+    _lexicon_block("arousal"),
+    _lexicon_block("prior_complexity", ("prior_complexity*",), _union),
+    Block(
+        "pos",
+        lambda schema: tuple(f"pos={t}" for t in schema.pos_tagset),
+        _fill_pos,
+        fit=lambda rows, config, state: _require_tagger(rows),
+    ),
+    _BIGRAM_LOGS,
+    _TRIGRAM_LOGS,
+    _BIGRAM_COUNTS,
+    _TRIGRAM_COUNTS,
+)
+
+FEATURE_FAMILIES: tuple[str, ...] = tuple(dict.fromkeys(block.family for block in BLOCKS))
+
+
+def _enabled_blocks(config: FeatureConfig) -> Iterator[Block]:
+    return (block for block in BLOCKS if block.family in config.enabled)
+
+
+def _lexicon_reads(config: FeatureConfig, available: Collection[str]) -> Iterator[tuple[Block, list[str]]]:
+    """Each enabled block that reads lexicons under ``config``, with the
+    names out of ``available`` it reads (possibly none)."""
+    for block in _enabled_blocks(config):
+        patterns = block.lexicons(config)
+        if patterns:
+            names: list[str] = []
+            for pattern in patterns:
+                if pattern.endswith("*"):
+                    names.extend(sorted(n for n in available if n.startswith(pattern[:-1])))
+                elif pattern in available:
+                    names.append(pattern)
+            yield block, names
+
+
+def lexicon_names(config: FeatureConfig, available: Collection[str]) -> list[str]:
+    """The names out of ``available`` that the enabled families read."""
+    return [name for _, names in _lexicon_reads(config, available) for name in names]
 
 
 def resolve_family_lexicons(registry: LexiconRegistry, config: FeatureConfig) -> dict[str, Lexicon]:
@@ -310,52 +458,20 @@ def resolve_family_lexicons(registry: LexiconRegistry, config: FeatureConfig) ->
 
     ``aoa`` averages the two age-of-acquisition registry entries when both are
     present; ``prior_complexity`` unions every binary ``prior_complexity*``
-    entry. A missing backing resource raises ResourceError naming the family.
+    entry; ``frequency`` reads the ``frequency`` entry when its source is
+    ``lexicon``. A missing backing resource raises ResourceError naming the
+    family.
     """
-
-    def require(family: str, lex: Lexicon | None) -> Lexicon:
-        if lex is None:
-            hint = _FAMILY_REGISTRY_HINTS.get(family, family)
-            raise ResourceError(
-                f"feature family '{family}' has no backing lexicon (expected registry entry: {hint})"
-            )
-        return lex
-
     views: dict[str, Lexicon] = {}
-    for fam in LEXICON_FAMILIES:
-        if fam not in config.enabled:
-            continue
-        if fam == "aoa":
-            parts = [lex for name in ("aoa_1981", "aoa_2017") if (lex := registry.get(name))]
-            if len(parts) == 2:
-                views[fam] = merge_average(parts[0], parts[1])
-            else:
-                views[fam] = require(fam, parts[0] if parts else None)
-        elif fam == "prior_complexity":
-            names = [n for n in registry.names() if n.startswith("prior_complexity")]
-            sources = [registry.get(n) for n in names]
-            if not sources:
-                require(fam, None)
-            bad = [lex.name for lex in sources if lex.kind != BINARY]
-            if bad:
-                raise ResourceError(f"feature family 'prior_complexity': lexicons {bad} are not binary")
-            views[fam] = sources[0] if len(sources) == 1 else merge_binary_union(sources)
-        else:
-            views[fam] = require(fam, registry.get(fam))
-    if "frequency" in config.enabled and config.frequency_source == "lexicon":
-        views["frequency"] = require("frequency", registry.get("frequency"))
+    for block, names in _lexicon_reads(config, registry.names()):
+        if not names:
+            expected = " and/or ".join(block.lexicons(config))
+            raise ResourceError(
+                f"feature family '{block.family}' has no backing lexicon"
+                f" (expected registry entry: {expected})"
+            )
+        views[block.family] = block.merge([registry.get(name) for name in names])
     return views
-
-
-def _fit_ngram_vocab(tokens: Sequence[str], n: int, min_count: int, max_vocab: int):
-    counter: Counter = Counter()
-    for tok in tokens:
-        counter.update(char_ngrams(tok, n))
-    kept = sorted(
-        ((g, c) for g, c in counter.items() if c >= min_count),
-        key=lambda gc: (-gc[1], gc[0]),
-    )[:max_vocab]
-    return tuple(g for g, _ in kept), {g: c for g, c in kept}
 
 
 def fit_schema(
@@ -366,136 +482,19 @@ def fit_schema(
 ) -> FeatureSchema:
     """Fit the feature schema on training instances.
 
-    Imputation means are averaged over the covered training targets of each
-    enabled lexicon; a lexicon covering none of them fails fast. N-gram
-    vocabularies keep grams with total training count >= trigram_min_count,
-    most frequent first (ties lexicographic), capped at trigram_max_vocab.
+    Each enabled block fits its own state (see ``BLOCKS``): imputation means
+    over the covered training targets of each lexicon (a lexicon covering
+    none of them fails fast), n-gram vocabularies, and corpus-internal
+    frequency counts.
     """
     if not train:
         raise ValueError("cannot fit a schema on empty training data")
-    views = resolve_family_lexicons(registry, config)
-    if "pos" in config.enabled and tagger is None:
-        raise ResourceError("feature family 'pos' is enabled but no tagger is configured")
-
-    tokens = [inst.token.strip() for inst in train]
-
-    bigram_vocab: tuple[str, ...] = ()
-    trigram_vocab: tuple[str, ...] = ()
-    bigram_counts: dict[str, int] = {}
-    trigram_counts: dict[str, int] = {}
-    if "char_bigrams" in config.enabled:
-        bigram_vocab, bigram_counts = _fit_ngram_vocab(
-            tokens, 2, config.trigram_min_count, config.trigram_max_vocab
-        )
-    if "char_trigrams" in config.enabled:
-        trigram_vocab, trigram_counts = _fit_ngram_vocab(
-            tokens, 3, config.trigram_min_count, config.trigram_max_vocab
-        )
-
-    impute: dict[str, float] = {}
-    for fam in LEXICON_FAMILIES:
-        if fam not in config.enabled:
-            continue
-        values = [v for tok in tokens if (v := lookup(views[fam], tok)) is not None]
-        if not values:
-            raise ResourceError(
-                f"lexicon for feature family '{fam}' covers none of the training targets"
-            )
-        impute[fam] = float(np.mean(values))
-
-    internal_frequency: dict[str, int] | None = None
-    if "frequency" in config.enabled and config.frequency_source == "corpus_internal":
-        counter: Counter = Counter()
-        for inst in train:
-            counter.update(inst.sentence.lower().split())
-        internal_frequency = dict(counter)
-
-    return FeatureSchema(
-        config=config,
-        impute=impute,
-        bigram_vocab=bigram_vocab,
-        trigram_vocab=trigram_vocab,
-        bigram_counts=bigram_counts,
-        trigram_counts=trigram_counts,
-        pos_tagset=POS_TAGSET,
-        internal_frequency=internal_frequency,
-    )
-
-
-def _ngram_values(token_key: str, n: int, vocab, counts) -> list[float]:
-    grams = char_ngrams(token_key, n)
-    logs = [math.log1p(counts.get(g, 0)) for g in grams]
-    agg = [sum(logs) / len(logs), min(logs)]
-    occur = Counter(grams)
-    return agg + [float(occur.get(g, 0)) for g in vocab]
-
-
-def _extract_row(
-    instance: Instance,
-    schema: FeatureSchema,
-    views: Mapping[str, Lexicon],
-    tagger: Tagger | None,
-) -> list[float]:
-    cfg = schema.config
-    enabled = cfg.enabled
-    key = instance.token.strip()
-    values: list[float] = []
-    if "length" in enabled:
-        values.append(float(len(key)))
-    if "syllables" in enabled:
-        values.append(float(syllable_count(key)))
-    if "frequency" in enabled:
-        if cfg.frequency_source == "corpus_internal":
-            raw = (schema.internal_frequency or {}).get(key.lower())
-        else:
-            raw = lookup(views["frequency"], key)
-        if raw is None:
-            values.extend([0.0, 0.0])
-        else:
-            values.extend([math.log1p(max(float(raw), 0.0)), 1.0])
-    for fam in LEXICON_FAMILIES:
-        if fam not in enabled:
-            continue
-        v = lookup(views[fam], key)
-        if v is None:
-            values.extend([schema.impute[fam], 0.0])
-        else:
-            values.extend([float(v), 1.0])
-    if "pos" in enabled:
-        if tagger is None:
-            raise ValueError("schema has the pos family enabled but no tagger was provided")
-        tag = pos_tag(instance.token, instance.sentence, tagger, schema.pos_tagset)
-        values.extend(1.0 if t == tag else 0.0 for t in schema.pos_tagset)
-    ngram_aggs: list[float] = []
-    ngram_counts: list[float] = []
-    if "char_bigrams" in enabled:
-        block = _ngram_values(key, 2, schema.bigram_vocab, schema.bigram_counts)
-        ngram_aggs.extend(block[:2])
-        ngram_counts.extend(block[2:])
-    if "char_trigrams" in enabled:
-        block = _ngram_values(key, 3, schema.trigram_vocab, schema.trigram_counts)
-        ngram_aggs.extend(block[:2])
-        ngram_counts.extend(block[2:])
-    values.extend(ngram_aggs)
-    values.extend(ngram_counts)
-    return values
-
-
-def extract(
-    instance: Instance,
-    schema: FeatureSchema,
-    registry: LexiconRegistry,
-    tagger: Tagger | None = None,
-) -> np.ndarray:
-    """Feature vector for one instance, aligned with ``schema.columns``.
-
-    Total over valid instances: missing lexicon values are imputed with their
-    paired indicator set to 0, unknown n-grams count as 0, unknown POS maps
-    to "X". The result never contains non-finite values.
-    """
-    views = resolve_family_lexicons(registry, schema.config)
-    row = _extract_row(instance, schema, views, tagger)
-    return np.asarray(row, dtype=np.float64)
+    rows = _Rows(train, resolve_family_lexicons(registry, config), tagger)
+    state: dict = {}
+    for block in _enabled_blocks(config):
+        if block.fit:
+            block.fit(rows, config, state)
+    return FeatureSchema(config=config, **state)
 
 
 def extract_matrix(
@@ -504,13 +503,27 @@ def extract_matrix(
     registry: LexiconRegistry,
     tagger: Tagger | None = None,
 ) -> np.ndarray:
-    """Stacked feature vectors, shape (len(instances), len(schema.columns))."""
-    views = resolve_family_lexicons(registry, schema.config)
-    width = len(schema.columns)
-    if not instances:
-        return np.zeros((0, width), dtype=np.float64)
-    rows = [_extract_row(inst, schema, views, tagger) for inst in instances]
-    return np.asarray(rows, dtype=np.float64)
+    """Feature vectors, shape (len(instances), len(schema.columns)).
+
+    Total over valid instances: missing lexicon values are imputed with their
+    paired indicator set to 0, unknown n-grams count as 0, unknown POS maps
+    to "X". The result never contains non-finite values.
+    """
+    rows = _Rows(instances, resolve_family_lexicons(registry, schema.config), tagger)
+    out = np.zeros((len(instances), len(schema.columns)), dtype=np.float64)
+    for block, cols in schema._layout:
+        block.fill(rows, schema, out[:, cols])
+    return out
+
+
+def extract(
+    instance: Instance,
+    schema: FeatureSchema,
+    registry: LexiconRegistry,
+    tagger: Tagger | None = None,
+) -> np.ndarray:
+    """Feature vector for one instance: row 0 of ``extract_matrix``."""
+    return extract_matrix([instance], schema, registry, tagger)[0]
 
 
 def with_families(config: FeatureConfig, *families: str) -> FeatureConfig:

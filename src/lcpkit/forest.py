@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Sequence
 
 import numpy as np
@@ -298,15 +298,14 @@ def save_model(model: RandomForest, sink: IO[bytes]) -> None:
     """Write the line-oriented text model format (canonical, byte-stable)."""
     lines = [f"{_MAGIC} {_VERSION}", "[schema]"]
     lines.extend(model.feature_names)
-    c = model.config
     lines.append("[config]")
-    lines.append(f"n_trees={c.n_trees}")
-    lines.append(f"max_features_per_split={c.max_features_per_split}")
-    lines.append(f"min_samples_leaf={c.min_samples_leaf}")
-    lines.append(f"min_samples_split={c.min_samples_split}")
-    lines.append(f"max_depth={'none' if c.max_depth is None else c.max_depth}")
-    lines.append(f"bootstrap={'true' if c.bootstrap else 'false'}")
-    lines.append(f"seed={c.seed}")
+    for f in fields(ForestConfig):
+        value = getattr(model.config, f.name)
+        if value is None:
+            value = "none"
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{f.name}={value}")
     for i, tree in enumerate(model.trees):
         lines.append(f"[tree {i}]")
         for node in range(tree.n_nodes):
@@ -320,29 +319,20 @@ def save_model(model: RandomForest, sink: IO[bytes]) -> None:
     sink.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+#: How a model file's ``[config]`` value is read, by the ForestConfig field's annotation.
+_CONFIG_PARSERS = {
+    "int": int,
+    "bool": {"true": True, "false": False}.__getitem__,
+    "int | None": lambda raw: None if raw == "none" else int(raw),
+}
+
+
 def _parse_config_lines(pairs: dict[str, str]) -> ForestConfig:
-    required = {
-        "n_trees",
-        "max_features_per_split",
-        "min_samples_leaf",
-        "min_samples_split",
-        "max_depth",
-        "bootstrap",
-        "seed",
-    }
-    missing = required - pairs.keys()
+    missing = {f.name for f in fields(ForestConfig)} - pairs.keys()
     if missing:
         raise DataError(f"model file: missing config keys {sorted(missing)}")
     try:
-        return ForestConfig(
-            n_trees=int(pairs["n_trees"]),
-            max_features_per_split=int(pairs["max_features_per_split"]),
-            min_samples_leaf=int(pairs["min_samples_leaf"]),
-            min_samples_split=int(pairs["min_samples_split"]),
-            max_depth=None if pairs["max_depth"] == "none" else int(pairs["max_depth"]),
-            bootstrap={"true": True, "false": False}[pairs["bootstrap"]],
-            seed=int(pairs["seed"]),
-        )
+        return ForestConfig(**{f.name: _CONFIG_PARSERS[f.type](pairs[f.name]) for f in fields(ForestConfig)})
     except (ValueError, KeyError) as exc:
         raise DataError(f"model file: bad config value: {exc}") from None
 
@@ -434,7 +424,17 @@ def load_model(source: IO[bytes] | bytes) -> RandomForest:
                         raise DataError(
                             f"model file: [tree {i}] node {node} has bad child index {child}"
                         )
-        trees.append(Tree(feature, threshold, left, right, value))
+        tree = Tree(feature, threshold, left, right, value)
+        # With children after parents, one parent per non-root node makes
+        # every node reachable from the root exactly once.
+        internal = tree.feature >= 0
+        parents = np.bincount(np.concatenate([tree.left[internal], tree.right[internal]]), minlength=n_nodes)
+        bad = np.flatnonzero(parents[1:] != 1) + 1
+        if bad.size:
+            raise DataError(
+                f"model file: [tree {i}] node {bad[0]} has {parents[bad[0]]} parents, expected 1"
+            )
+        trees.append(tree)
     if pos != len(lines):
         raise DataError(f"model file: unexpected trailing content at line {pos + 1}")
     return RandomForest(trees=trees, config=config, feature_names=names)

@@ -78,6 +78,16 @@ class TestTrain:
         manifest = json.loads((workspace["tmp"] / "out.lcpmodel.manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["seed"] == 5
+        assert sorted(k for k in manifest["config"] if not k.startswith("lexicon.")) == [
+            "data.dev_fraction", "data.eval_on", "data.test", "data.train",
+            "features.enabled", "features.frequency_source", "features.preset",
+            "features.trigram_max_vocab", "features.trigram_min_count",
+            "forest.bootstrap", "forest.max_depth", "forest.max_features_per_split",
+            "forest.min_samples_leaf", "forest.min_samples_split", "forest.n_trees", "forest.seed",
+            "pos.tag_lexicon", "run.seed",
+        ]
+        assert manifest["config"]["forest.seed"] == 5
+        assert manifest["config"]["features.preset"] == "baseline"
         out = capsys.readouterr().out
         assert "dev metrics" in out
 
@@ -114,6 +124,25 @@ class TestTrain:
             "length", "syllables", "frequency", "char_trigrams",
             "aoa", "prevalence", "concreteness_brysbaert", "arousal",
         }
+
+    def test_pos_without_tagger_is_resource_error(self, workspace, capsys):
+        no_pos = workspace["tmp"] / "no_pos.ini"
+        no_pos.write_text(workspace["config"].read_text().replace("[pos]\ntag_lexicon", "[pos]\n#"))
+        code = run("train", "--config", no_pos, "--model", workspace["tmp"] / "m.lcpmodel",
+                   "--features", "length,pos")
+        assert code == 3
+        assert "tagger" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_threads_is_usage_error(self, workspace, where, capsys):
+        cfg = workspace["tmp"] / "threads.ini"
+        cfg.write_text("[run]\nthreads = -1\n" if where == "config" else "")
+        flags = ["--threads", "-1"] if where == "flag" else []
+        # the dataset does not exist: the thread count is checked before any input is read
+        code = run("train", "--config", cfg, "--train", workspace["tmp"] / "missing.tsv",
+                   "--model", workspace["tmp"] / "m.lcpmodel", *flags)
+        assert code == 1
+        assert "threads" in capsys.readouterr().err
 
     def test_train_without_dataset_is_usage_error(self, tmp_path, capsys):
         code = run("train", "--model", tmp_path / "m.lcpmodel")
@@ -175,6 +204,35 @@ class TestPredict:
                    "--input", workspace["test"], "--output", out)
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
+
+    def test_manifest_records_the_model_features_and_inputs(self, workspace):
+        model = workspace["tmp"] / "pos.lcpmodel"
+        families = "length,frequency,aoa,pos,char_trigrams"
+        assert run("train", "--config", workspace["config"], "--model", model,
+                   "--features", families, "--quiet") == 0
+        out = workspace["tmp"] / "pred.tsv"
+        assert run("predict", "--config", workspace["config"], "--model", model,
+                   "--input", workspace["test"], "--output", out, "--quiet") == 0
+        manifest = json.loads((workspace["tmp"] / "pred.tsv.manifest.json").read_text())
+        assert manifest["config"]["features.enabled"] == "aoa,char_trigrams,frequency,length,pos"
+        assert manifest["config"]["features.preset"] is None
+        tmp = workspace["tmp"]
+        assert sorted(manifest["inputs"]) == sorted(str(p) for p in [
+            model, f"{model}.schema.json", workspace["test"],
+            tmp / "frequency.tsv", tmp / "aoa_1981.tsv", tmp / "aoa_2017.tsv", tmp / "pos.tsv",
+        ])
+        assert all(h.startswith("sha256:") for h in manifest["inputs"].values())
+
+    def test_pos_model_without_tagger_is_resource_error(self, workspace, capsys):
+        model = workspace["tmp"] / "pos.lcpmodel"
+        assert run("train", "--config", workspace["config"], "--model", model,
+                   "--features", "length,pos", "--quiet") == 0
+        no_pos = workspace["tmp"] / "no_pos.ini"
+        no_pos.write_text(workspace["config"].read_text().replace("[pos]\ntag_lexicon", "[pos]\n#"))
+        code = run("predict", "--config", no_pos, "--model", model,
+                   "--input", workspace["test"], "--output", workspace["tmp"] / "p.tsv")
+        assert code == 3
+        assert "tagger" in capsys.readouterr().err
 
     def test_missing_model_is_resource_error(self, workspace):
         code = run("predict", "--config", workspace["config"],

@@ -7,6 +7,7 @@ import pytest
 from lcpkit.corpus import Instance
 from lcpkit.errors import DataError, ResourceError
 from lcpkit.features import (
+    FEATURE_FAMILIES,
     FeatureConfig,
     LexiconTagger,
     PRESETS,
@@ -104,7 +105,43 @@ class TestFeatureConfig:
             FeatureConfig.preset("model9")
 
 
+def every_family_schema():
+    """Registry, tagger and schema with all 13 families on, bigrams and trigrams both."""
+    lexicons = {
+        name: continuous_lexicon(name, {"cat": 2.0, "dog": 3.0})
+        for name in (
+            "aoa_1981", "aoa_2017", "prevalence", "concreteness_brysbaert",
+            "concreteness_mrc", "familiarity_mrc", "arousal", "frequency",
+        )
+    }
+    lexicons["prior_complexity_x"] = binary_lexicon("prior_complexity_x", {"cat": 1.0})
+    registry = make_registry(**lexicons)
+    tagger = LexiconTagger({"cat": "NOUN"})
+    train = [inst("cat", "i1"), inst("cat", "i2")]
+    config = FeatureConfig(enabled=frozenset(FEATURE_FAMILIES), trigram_min_count=2)
+    return registry, tagger, fit_schema(train, registry, config, tagger)
+
+
 class TestFitSchema:
+    def test_column_order_with_every_family(self):
+        _, _, schema = every_family_schema()
+        lexicon_pairs = [
+            col
+            for fam in (
+                "frequency", "aoa", "prevalence", "concreteness_brysbaert", "concreteness_mrc",
+                "familiarity_mrc", "arousal", "prior_complexity",
+            )
+            for col in (fam, f"{fam}_present")
+        ]
+        assert schema.column_names() == [
+            "length", "syllables", *lexicon_pairs,
+            "pos=ADJ", "pos=ADP", "pos=ADV", "pos=CONJ", "pos=DET", "pos=NOUN",
+            "pos=NUM", "pos=PRON", "pos=PRT", "pos=VERB", "pos=X", "pos=.",
+            "bigram_log_mean", "bigram_log_min", "trigram_log_mean", "trigram_log_min",
+            "bi:^c", "bi:at", "bi:ca", "bi:t$",
+            "tri:^ca", "tri:at$", "tri:cat",
+        ]
+
     def test_trigram_vocab_counting(self):
         train = [inst(t, f"i{k}") for k, t in enumerate(["cat", "cap", "cat"])]
         config = FeatureConfig(enabled=frozenset({"char_trigrams"}), trigram_min_count=2)
@@ -315,6 +352,13 @@ class TestExtract:
         X_less = extract_matrix(tiny_instances, schema_less, registry)
         keep = [i for i, n in enumerate(schema_all.column_names()) if n not in removed]
         assert np.array_equal(X_all[:, keep], X_less)
+
+    def test_extract_is_the_matrix_row(self):
+        registry, tagger, schema = every_family_schema()
+        probes = [inst(t, f"p{k}") for k, t in enumerate(["cat", "zebra", "Cats", "ß", "a-b"])]
+        X = extract_matrix(probes, schema, registry, tagger)
+        for k, probe in enumerate(probes):
+            assert extract(probe, schema, registry, tagger).tobytes() == X[k].tobytes()
 
     def test_extract_total_over_odd_tokens(self):
         _, registry, schema = self.make_schema(

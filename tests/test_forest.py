@@ -281,3 +281,11 @@ class TestPersistence:
                "[tree 0]\nN 3 0.5 1 2\nL 0.0\nL 1.0\n"
         with pytest.raises(DataError, match="out of range"):
             load_model(text.encode())
+
+    def test_shared_child_rejected(self):
+        # both children of the root point at node 2; node 1 is unreachable
+        text = "LCPMODEL 1\n[schema]\nf0\n[config]\nn_trees=1\nmax_features_per_split=1\n" \
+               "min_samples_leaf=1\nmin_samples_split=2\nmax_depth=none\nbootstrap=true\nseed=0\n" \
+               "[tree 0]\nN 0 0.5 2 2\nL 1.0\nL 2.0\n"
+        with pytest.raises(DataError, match="parents"):
+            load_model(text.encode())

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from lcpkit import features, pipeline
 from lcpkit.corpus import Instance, split_train_dev
 from lcpkit.errors import DataError
 from lcpkit.features import FeatureConfig
@@ -100,6 +101,37 @@ class TestPredictScores:
         split = split_train_dev(instances, 0.2, seed=3)
         result = fit_and_evaluate(split, registry, FEATURES, FOREST)
         assert predict_scores([], result.schema, result.model, registry).shape == (0,)
+
+
+def test_calls_go_through_the_module_attributes_the_bench_wraps(monkeypatch):
+    """lcpbench times these calls by replacing the module attributes; a call
+    that bypasses them would read 0 in its trace."""
+    seams = [
+        (pipeline, "fit_schema"),
+        (pipeline, "extract_matrix"),
+        (features, "resolve_family_lexicons"),
+        (features, "merge_average"),
+    ]
+    calls = dict.fromkeys((name for _, name in seams), 0)
+    for module, name in seams:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    instances, registry = toy_world(n=40)
+    aoa = {inst.token: float(len(inst.token)) for inst in instances}
+    registry.add(continuous_lexicon("aoa_1981", aoa))
+    registry.add(continuous_lexicon("aoa_2017", aoa))
+    config = FeatureConfig(enabled=frozenset({"length", "aoa"}))
+    result = fit_and_evaluate(split_train_dev(instances, 0.2, seed=3), registry, config, FOREST)
+    assert all(calls.values()), calls
+    calls.update(dict.fromkeys(calls, 0))
+    predict_scores(instances[:3], result.schema, result.model, registry)
+    assert calls["extract_matrix"] == 1
+    assert calls["resolve_family_lexicons"] and calls["merge_average"], calls
 
 
 class TestAblation:
