@@ -433,6 +433,9 @@ def _parse_predictions(data: bytes, path: str) -> dict[str, float]:
 
 def cmd_evaluate(args) -> int:
     cfg = _apply_common_flags(load_run_config(args.config), args)
+    # The manifest records the resolved configs; a bad one fails before any output.
+    cfg.feature_config()
+    cfg.forest_config()
     predictions = _parse_predictions(_read_file(args.pred, "predictions file"), args.pred)
     gold_instances = parse_dataset(_read_file(args.gold, "gold dataset"), has_gold=True)
     labeled = [inst for inst in gold_instances if inst.gold is not None]
@@ -516,11 +519,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lcp",
-        description="Lexical complexity prediction toolkit",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    # Help strings state their defaults by hand: most flags default to None
+    # so that only a flag given on the command line overrides the config.
+    parser = _Parser(prog="lcp", description="Lexical complexity prediction toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="run config file (INI format)")
@@ -539,9 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def command(name, func, help, parents=()):
-        p = sub.add_parser(
-            name, parents=[common, *parents], help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter
-        )
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
         p.set_defaults(func=func)
         return p
 
@@ -558,12 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", metavar="PATH", required=True, help="predictions TSV (id, prediction)")
     p.add_argument("--gold", metavar="PATH", required=True, help="labeled dataset TSV")
     p.add_argument("--report", metavar="PATH", default=None, help="optional rendered report file")
-    p.add_argument("--format", choices=["markdown", "csv"], default="markdown", help="report format")
+    p.add_argument("--format", choices=["markdown", "csv"], default="markdown", help="report format (default: markdown)")
 
     p = command("ablate", cmd_ablate, "baseline-plus-one-feature ablation report", [fitting])
     p.add_argument("--candidates", metavar="LIST", default="", help="comma-separated candidate families")
     p.add_argument("--report", metavar="PATH", required=True, help="output report file")
-    p.add_argument("--format", choices=["markdown", "csv"], default="markdown", help="report format")
+    p.add_argument("--format", choices=["markdown", "csv"], default="markdown", help="report format (default: markdown)")
 
     p = command("coverage", cmd_coverage, "lexicon coverage of distinct training targets")
     p.add_argument("--train", metavar="PATH", help="labeled training dataset TSV")

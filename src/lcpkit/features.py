@@ -460,7 +460,7 @@ def resolve_family_lexicons(registry: LexiconRegistry, config: FeatureConfig) ->
     present; ``prior_complexity`` unions every binary ``prior_complexity*``
     entry; ``frequency`` reads the ``frequency`` entry when its source is
     ``lexicon``. A missing backing resource raises ResourceError naming the
-    family.
+    family. Merged views are built once per registry (``LexiconRegistry.view``).
     """
     views: dict[str, Lexicon] = {}
     for block, names in _lexicon_reads(config, registry.names()):
@@ -470,7 +470,7 @@ def resolve_family_lexicons(registry: LexiconRegistry, config: FeatureConfig) ->
                 f"feature family '{block.family}' has no backing lexicon"
                 f" (expected registry entry: {expected})"
             )
-        views[block.family] = block.merge([registry.get(name) for name in names])
+        views[block.family] = registry.view(tuple(names), block.merge)
     return views
 
 

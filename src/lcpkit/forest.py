@@ -19,7 +19,8 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import IO, Sequence
+from functools import cached_property
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +30,9 @@ _MAGIC = "LCPMODEL"
 _VERSION = 1
 _SEED_MULTIPLIER = 1_000_003
 _SEED_MASK = (1 << 64) - 1
+#: (tree, row) pairs walked at once: rows are scored in blocks of
+#: ``_PAIRS_PER_BLOCK // n_trees`` so the traversal arrays stay bounded.
+_PAIRS_PER_BLOCK = 1 << 18
 
 
 def derive_seed(seed: int, tree_index: int) -> int:
@@ -85,17 +89,34 @@ class Tree:
     def n_nodes(self) -> int:
         return int(self.feature.size)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        while True:
-            feat = self.feature[node]
-            active = np.flatnonzero(feat >= 0)
-            if active.size == 0:
-                break
-            cur = node[active]
-            go_left = X[active, self.feature[cur]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.value[node]
+
+class _Nodes(NamedTuple):
+    """Every node of a forest in one table, trees one after another, with
+    ``Tree``'s dtypes.
+
+    ``left`` and ``right`` hold table positions, ``roots`` the position of
+    each tree's root in tree order. Leaves have ``feature == -1``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+
+
+def _flatten(trees: Sequence[Tree]) -> _Nodes:
+    sizes = [tree.n_nodes for tree in trees]
+    roots = np.cumsum([0, *sizes[:-1]], dtype=np.int32)
+    offset = np.repeat(roots, sizes)
+
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([getattr(tree, name) for tree in trees])
+
+    feature = joined("feature")
+    left, right = (np.where(feature >= 0, joined(side) + offset, -1) for side in ("left", "right"))
+    return _Nodes(feature, joined("threshold"), left, right, joined("value"), roots)
 
 
 @dataclass
@@ -107,6 +128,12 @@ class RandomForest:
 
     def __post_init__(self):
         self.schema_fingerprint = columns_fingerprint(self.feature_names)
+
+    @cached_property
+    def nodes(self) -> _Nodes:
+        """All trees in one node table, built on the first prediction; the
+        trees must not change after that."""
+        return _flatten(self.trees)
 
     @property
     def n_features(self) -> int:
@@ -267,15 +294,44 @@ def fit(
     return RandomForest(trees=trees, config=config, feature_names=feature_names)
 
 
+def _leaves(nodes: _Nodes, X: np.ndarray) -> np.ndarray:
+    """The leaf each (tree, row) pair reaches, shape (trees, rows).
+
+    All pairs descend together, one level per step; a pair that reaches a
+    leaf leaves the active set.
+    """
+    rows, d = X.shape
+    flat = X.ravel()
+    node = np.repeat(nodes.roots, rows)
+    row_start = np.tile(np.arange(rows, dtype=np.intp) * d, nodes.roots.size)
+    active = np.flatnonzero(nodes.feature[node] >= 0)
+    while active.size:
+        cur = node[active]
+        go_left = flat[row_start[active] + nodes.feature[cur]] <= nodes.threshold[cur]
+        nxt = np.where(go_left, nodes.left[cur], nodes.right[cur])
+        node[active] = nxt
+        active = active[nodes.feature[nxt] >= 0]
+    return node.reshape(nodes.roots.size, rows)
+
+
 def predict_batch(model: RandomForest, X) -> np.ndarray:
-    """Mean of the individual tree outputs for each row. Raw, unclamped."""
+    """Mean of the individual tree outputs for each row. Raw, unclamped.
+
+    Leaf values are summed in tree order, so a row's result does not depend
+    on the rows scored with it.
+    """
     X = _check_matrix(X)
     if X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
+    nodes = model.nodes
+    n_trees = nodes.roots.size
+    block = max(1, _PAIRS_PER_BLOCK // n_trees)
     acc = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in model.trees:
-        acc += tree.predict(X)
-    return acc / len(model.trees)
+    for start in range(0, X.shape[0], block):
+        out = acc[start : start + block]
+        for values in nodes.value[_leaves(nodes, X[start : start + block])]:
+            out += values
+    return acc / n_trees
 
 
 def predict(model: RandomForest, x) -> float:
@@ -425,6 +481,9 @@ def load_model(source: IO[bytes] | bytes) -> RandomForest:
                             f"model file: [tree {i}] node {node} has bad child index {child}"
                         )
         tree = Tree(feature, threshold, left, right, value)
+        # fit only ever writes finite thresholds and leaf values
+        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+            raise DataError(f"model file: [tree {i}] has a non-finite threshold or leaf value")
         # With children after parents, one parent per non-root node makes
         # every node reachable from the root exactly once.
         internal = tree.feature >= 0

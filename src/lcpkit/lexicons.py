@@ -9,7 +9,7 @@ frequency counts); binary lexicons hold 0/1 prior complexity labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError
 
@@ -170,14 +170,30 @@ def coverage(lex: Lexicon, vocab: Iterable[str]) -> CoverageStat:
 
 @dataclass
 class LexiconRegistry:
-    """Named collection of loaded lexicons, built once and shared read-only."""
+    """Named collection of loaded lexicons, built once and shared read-only.
+
+    The registry also keeps the merged views built from its lexicons (see
+    ``view``) for as long as it lives, so reusing one registry across calls
+    merges each view once.
+    """
 
     _by_name: dict[str, Lexicon] = field(default_factory=dict)
+    _views: dict[tuple[str, ...], Lexicon] = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, lex: Lexicon) -> None:
         if lex.name in self._by_name:
             raise ValueError(f"duplicate lexicon name {lex.name!r}")
         self._by_name[lex.name] = lex
+        self._views.clear()
+
+    def view(self, names: tuple[str, ...], merge: Callable[[list[Lexicon]], Lexicon]) -> Lexicon:
+        """``merge`` applied to the named lexicons, built on the first call
+        for these names and returned as is after that, until the next
+        ``add``. Lexicons are frozen, so a kept view cannot go stale; callers
+        must merge a given tuple of names one way only."""
+        if names not in self._views:
+            self._views[names] = merge([self._by_name[name] for name in names])
+        return self._views[names]
 
     def get(self, name: str) -> Lexicon | None:
         return self._by_name.get(name)

@@ -268,6 +268,24 @@ class TestEvaluate:
                    "--report", report, "--format", "csv") == 0
         assert report.read_text().splitlines()[0] == "label,r,rho,mae,mse"
 
+    def test_bad_config_fails_before_any_output(self, workspace, capsys):
+        pred = workspace["tmp"] / "pred.tsv"
+        gold_lines = workspace["train"].read_text().splitlines()[1:]
+        pred.write_text(
+            "id\tprediction\n" + "\n".join(f"{l.split(chr(9))[0]}\t0.5" for l in gold_lines) + "\n"
+        )
+        config = workspace["tmp"] / "bad.ini"
+        config.write_text("[features]\npreset = nope\n")
+        report = workspace["tmp"] / "report.md"
+        code = run("evaluate", "--config", config, "--pred", pred, "--gold", workspace["train"],
+                   "--report", report)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nope" in captured.err
+        assert "mae=" not in captured.out
+        assert not report.exists()
+        assert not (workspace["tmp"] / "report.md.manifest.json").exists()
+
     def test_missing_ids_listed(self, workspace, capsys):
         pred = workspace["tmp"] / "pred.tsv"
         pred.write_text("id\tprediction\nt0000\t0.5\n")
@@ -320,6 +338,16 @@ class TestParser:
         for flag in ("--config", "--seed", "--threads", "--quiet", "--model", "--preset"):
             assert flag in out
         assert "default" in out
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "ablate", "coverage"])
+    def test_help_states_each_default_once(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")  # one line per option
+        assert run(command, "--help") == 0
+        options = [line for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("-")]
+        assert options
+        for line in options:
+            assert line.count("(default:") <= 1, line
+            assert "(default: None)" not in line, line
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert run("train") == 1

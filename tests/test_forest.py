@@ -2,10 +2,14 @@ import io
 import math
 import random
 from fractions import Fraction
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lcpkit import forest as forest_module
 from lcpkit.errors import DataError
 from lcpkit.forest import (
     ForestConfig,
@@ -204,6 +208,92 @@ class TestPredict:
             predict(model, [math.nan])
 
 
+def reference_predict(model: RandomForest, X: np.ndarray) -> np.ndarray:
+    """Per row, per tree walk in plain Python, summing leaves in tree order."""
+    out = []
+    for row in X.tolist():
+        total = 0.0
+        for tree in model.trees:
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = row[int(tree.feature[node])] <= float(tree.threshold[node])
+                node = int(tree.left[node] if go_left else tree.right[node])
+            total += float(tree.value[node])
+        out.append(total / len(model.trees))
+    return np.array(out, dtype=np.float64)
+
+
+#: Values shared by thresholds and probes, so probes land exactly on thresholds.
+GRID = (-1.5, -0.5, 0.0, 0.5, 1.5)
+grid_or_float = st.one_of(st.sampled_from(GRID), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def random_trees(draw, n_features: int, max_depth: int = 4) -> Tree:
+    """A pre-order tree; a root drawn as a leaf makes a single-leaf tree."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(depth: int) -> int:
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        if depth < max_depth and draw(st.booleans()):
+            feature[node] = draw(st.integers(0, n_features - 1))
+            threshold[node] = draw(grid_or_float)
+            left[node] = grow(depth + 1)
+            right[node] = grow(depth + 1)
+        else:
+            value[node] = draw(st.floats(-10.0, 10.0))
+        return node
+
+    grow(0)
+    return Tree(feature, threshold, left, right, value)
+
+
+@st.composite
+def random_forests(draw) -> RandomForest:
+    d = draw(st.integers(1, 3))
+    trees = draw(st.lists(random_trees(d), min_size=1, max_size=5))
+    return RandomForest(trees=trees, config=ForestConfig(n_trees=len(trees)), feature_names=[f"f{i}" for i in range(d)])
+
+
+class TestFlatTraversal:
+    PAIRS = 12
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_per_tree_walk_across_row_blocks(self, data):
+        model = data.draw(random_forests())
+        block = self.PAIRS // len(model.trees)
+        # row counts on both sides of one and two block boundaries
+        rows = max(1, block * data.draw(st.integers(1, 2)) + data.draw(st.integers(-1, 1)))
+        cells = data.draw(st.lists(grid_or_float, min_size=rows * model.n_features, max_size=rows * model.n_features))
+        X = np.array(cells, dtype=np.float64).reshape(rows, model.n_features)
+        with mock.patch.object(forest_module, "_PAIRS_PER_BLOCK", self.PAIRS):
+            batch = predict_batch(model, X)
+            single = predict(model, X[-1])
+        assert batch.tobytes() == reference_predict(model, X).tobytes()
+        assert np.float64(single).tobytes() == batch[-1].tobytes()
+
+    def test_real_block_size_boundary(self):
+        rng = np.random.default_rng(21)
+        n_trees = 2048
+        trees = [
+            Tree([int(rng.integers(3)), -1, -1], [float(rng.choice(GRID)), 0, 0], [1, -1, -1], [2, -1, -1],
+                 [0.0, *rng.random(2).tolist()])
+            for _ in range(n_trees)
+        ]
+        model = RandomForest(trees=trees, config=ForestConfig(n_trees=n_trees), feature_names=["a", "b", "c"])
+        block = forest_module._PAIRS_PER_BLOCK // n_trees
+        X = rng.choice(GRID, size=(block + 1, 3))
+        batch = predict_batch(model, X)
+        assert batch.tobytes() == reference_predict(model, X).tobytes()
+        assert np.float64(predict(model, X[block])).tobytes() == batch[block].tobytes()
+
+
 class TestClamp:
     @pytest.mark.parametrize("v,expected", [(0.5, 0.5), (-0.01, 0.0), (1.2, 1.0), (0.0, 0.0), (1.0, 1.0)])
     def test_values(self, v, expected):
@@ -289,3 +379,73 @@ class TestPersistence:
                "[tree 0]\nN 0 0.5 2 2\nL 1.0\nL 2.0\n"
         with pytest.raises(DataError, match="parents"):
             load_model(text.encode())
+
+
+@cache
+def valid_model_bytes() -> bytes:
+    rng = np.random.default_rng(4)
+    model = fit(rng.normal(size=(20, 2)), rng.random(20), ForestConfig(n_trees=2, seed=1))
+    buf = io.BytesIO()
+    save_model(model, buf)
+    return buf.getvalue()
+
+
+#: Tokens that reach the loader's index, range and number checks.
+TOKENS = [b"-1", b"0", b"1", b"2", b"3", b"99", b"nan", b"inf", b"-0.0", b"1e308", b"x", b"", b"L", b"N"]
+
+
+@st.composite
+def mutated_models(draw) -> bytes:
+    lines = valid_model_bytes().split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["token", "line", "delete", "duplicate", "swap", "splice"]))
+    if op == "token":
+        parts = lines[i].split(b" ")
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(TOKENS))
+        lines[i] = b" ".join(parts)
+    elif op == "line":
+        lines[i] = draw(st.binary(max_size=24))
+    elif op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(j, lines[i])
+    elif op == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    data = b"\n".join(lines)
+    if op == "splice":
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.binary(max_size=6)) + data[k + draw(st.integers(0, 6)) :]
+    return data
+
+
+class TestLoadModelFuzz:
+    """load_model either returns a model that scores or raises DataError."""
+
+    @staticmethod
+    def loads_or_refuses(data: bytes) -> None:
+        try:
+            model = load_model(data)
+        except DataError:
+            return
+        assert predict_batch(model, np.zeros((2, model.n_features))).shape == (2,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(lambda b: b"LCPMODEL 1\n[schema]\n" + b)))
+    def test_arbitrary_bytes(self, data):
+        self.loads_or_refuses(data)
+
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_models())
+    def test_mutated_valid_model(self, data):
+        self.loads_or_refuses(data)
+
+    def test_non_finite_numbers_rejected(self):
+        text = valid_model_bytes().decode()
+        leaf = next(line for line in text.splitlines() if line.startswith("L "))
+        split = next(line for line in text.splitlines() if line.startswith("N ")).split(" ")
+        for bad in ("nan", "inf", "-inf"):
+            bad_split = " ".join([*split[:2], bad, *split[3:]])
+            for old, new in ((leaf, f"L {bad}"), (" ".join(split), bad_split)):
+                with pytest.raises(DataError, match="non-finite"):
+                    load_model(text.replace(old, new, 1).encode())

@@ -103,15 +103,20 @@ class TestPredictScores:
         assert predict_scores([], result.schema, result.model, registry).shape == (0,)
 
 
-def test_calls_go_through_the_module_attributes_the_bench_wraps(monkeypatch):
-    """lcpbench times these calls by replacing the module attributes; a call
-    that bypasses them would read 0 in its trace."""
-    seams = [
-        (pipeline, "fit_schema"),
-        (pipeline, "extract_matrix"),
-        (features, "resolve_family_lexicons"),
-        (features, "merge_average"),
-    ]
+def aoa_world():
+    """The toy world plus both AoA lexicons, whose view is a merge."""
+    instances, registry = toy_world(n=40)
+    aoa = {inst.token: float(len(inst.token)) for inst in instances}
+    registry.add(continuous_lexicon("aoa_1981", aoa))
+    registry.add(continuous_lexicon("aoa_2017", aoa))
+    return instances, registry
+
+
+AOA_FEATURES = FeatureConfig(enabled=frozenset({"length", "aoa"}))
+
+
+def count_calls(monkeypatch, seams) -> dict:
+    """Count calls made through each ``(module, name)`` attribute."""
     calls = dict.fromkeys((name for _, name in seams), 0)
     for module, name in seams:
         real = getattr(module, name)
@@ -121,17 +126,58 @@ def test_calls_go_through_the_module_attributes_the_bench_wraps(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    instances, registry = toy_world(n=40)
-    aoa = {inst.token: float(len(inst.token)) for inst in instances}
-    registry.add(continuous_lexicon("aoa_1981", aoa))
-    registry.add(continuous_lexicon("aoa_2017", aoa))
-    config = FeatureConfig(enabled=frozenset({"length", "aoa"}))
-    result = fit_and_evaluate(split_train_dev(instances, 0.2, seed=3), registry, config, FOREST)
+    return calls
+
+
+def test_calls_go_through_the_module_attributes_the_bench_wraps(monkeypatch):
+    """lcpbench times these calls by replacing the module attributes; a call
+    that bypasses them would read 0 in its trace."""
+    seams = [
+        (pipeline, "fit_schema"),
+        (pipeline, "extract_matrix"),
+        (features, "resolve_family_lexicons"),
+        (features, "merge_average"),
+    ]
+    calls = count_calls(monkeypatch, seams)
+    instances, registry = aoa_world()
+    result = fit_and_evaluate(split_train_dev(instances, 0.2, seed=3), registry, AOA_FEATURES, FOREST)
     assert all(calls.values()), calls
+    # A registry keeps its merged views, so only a fresh one merges again.
+    _, fresh = aoa_world()
     calls.update(dict.fromkeys(calls, 0))
-    predict_scores(instances[:3], result.schema, result.model, registry)
+    predict_scores(instances[:3], result.schema, result.model, fresh)
     assert calls["extract_matrix"] == 1
     assert calls["resolve_family_lexicons"] and calls["merge_average"], calls
+    calls.update(dict.fromkeys(calls, 0))
+    predict_scores(instances[:3], result.schema, result.model, fresh)
+    assert calls["extract_matrix"] == 1 and calls["resolve_family_lexicons"] == 1
+    assert calls["merge_average"] == 0, calls
+
+
+class TestMergedViews:
+    def fitted(self):
+        instances, registry = aoa_world()
+        result = fit_and_evaluate(split_train_dev(instances, 0.2, seed=3), registry, AOA_FEATURES, FOREST)
+        return instances, result
+
+    def test_built_once_per_registry(self, monkeypatch):
+        instances, result = self.fitted()
+        _, registry = aoa_world()
+        calls = count_calls(monkeypatch, [(features, "merge_average")])
+        first = predict_scores(instances, result.schema, result.model, registry)
+        second = predict_scores(instances, result.schema, result.model, registry)
+        assert calls["merge_average"] == 1
+        assert first.tobytes() == second.tobytes()
+
+    def test_adding_a_lexicon_merges_again(self, monkeypatch):
+        instances, result = self.fitted()
+        _, registry = aoa_world()
+        calls = count_calls(monkeypatch, [(features, "merge_average")])
+        first = predict_scores(instances, result.schema, result.model, registry)
+        registry.add(continuous_lexicon("arousal", {"word": 1.0}))
+        second = predict_scores(instances, result.schema, result.model, registry)
+        assert calls["merge_average"] == 2
+        assert first.tobytes() == second.tobytes()
 
 
 class TestAblation:
