@@ -28,7 +28,6 @@ from .features import (
     FeatureSchema,
     LexiconTagger,
     char_ngrams,
-    extract,
     extract_matrix,
     fit_schema,
     pos_tag,
@@ -37,10 +36,8 @@ from .features import (
 from .forest import (
     ForestConfig,
     RandomForest,
-    clamp_unit,
     fit,
     load_model,
-    predict,
     predict_batch,
     save_model,
 )

@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import io
 import json
 import logging
 import sys
@@ -48,7 +49,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import band_of, parse_dataset, split_train_dev
-from .errors import DataError, LcpkitError, ResourceError
+from .errors import DataError, LcpkitError, ResourceError, decode_utf8
 from .evaluation import AblationRow, MetricsReport, evaluate, format_metric, render_report
 from .features import (
     FEATURE_FAMILIES,
@@ -169,47 +170,47 @@ def load_run_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ResourceError(f"cannot read config file {path}: {exc}") from None
+    text = decode_utf8(_read_file(path, "config file"), f"config file {path}:")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text, source=path)
+        # universal newlines, as reading the file in text mode gives
+        parser.read_file(io.StringIO(text, newline=None), source=path)
     except configparser.Error as exc:
         raise DataError(f"config file {path}: {exc}") from None
 
     for section in parser.sections():
-        if section.startswith("lexicon:"):
-            name = section.split(":", 1)[1].strip()
-            if not name:
-                raise DataError(f"config section [{section}]: empty lexicon name")
-            keys = dict(parser.items(section))
-            spec = {f.name: f for f in fields(LexiconSpec) if f.name != "name"}
-            unknown = keys.keys() - spec.keys()
+        keys = dict(parser.items(section))
+        try:
+            if section.startswith("lexicon:"):
+                name = section.split(":", 1)[1].strip()
+                if not name:
+                    raise DataError(f"config section [{section}]: empty lexicon name")
+                spec = {f.name: f for f in fields(LexiconSpec) if f.name != "name"}
+                unknown = keys.keys() - spec.keys()
+                if unknown:
+                    raise DataError(f"config section [{section}]: unknown keys {sorted(unknown)}")
+                if "path" not in keys:
+                    raise DataError(f"config section [{section}]: missing required key 'path'")
+                cfg.lexicons[name] = LexiconSpec(
+                    name=name,
+                    **{k: _PARSERS[spec[k].type](raw, f"[{section}] {k}") for k, raw in keys.items()},
+                )
+                continue
+            if section not in {s for s, _ in _KEYS}:
+                raise DataError(f"config file {path}: unknown section [{section}]")
+            unknown = [key for key in keys if (section, key) not in _KEYS]
             if unknown:
                 raise DataError(f"config section [{section}]: unknown keys {sorted(unknown)}")
-            if "path" not in keys:
-                raise DataError(f"config section [{section}]: missing required key 'path'")
-            cfg.lexicons[name] = LexiconSpec(
-                name=name,
-                **{k: _PARSERS[spec[k].type](raw, f"[{section}] {k}") for k, raw in keys.items()},
-            )
-            continue
-        if section not in {s for s, _ in _KEYS}:
-            raise DataError(f"config file {path}: unknown section [{section}]")
-        keys = dict(parser.items(section))
-        unknown = [key for key in keys if (section, key) not in _KEYS]
-        if unknown:
-            raise DataError(f"config section [{section}]: unknown keys {sorted(unknown)}")
-        for key, raw in keys.items():
-            target, parse = _KEYS[section, key]
-            value = parse(raw, f"[{section}] {key}")
-            if target.startswith("forest."):
-                cfg.forest = replace(cfg.forest, **{key: value})
-                cfg.forest_seed_set |= key == "seed"
-            else:
-                setattr(cfg, target, value)
+            for key, raw in keys.items():
+                target, parse = _KEYS[section, key]
+                value = parse(raw, f"[{section}] {key}")
+                if target.startswith("forest."):
+                    cfg.forest = replace(cfg.forest, **{key: value})
+                    cfg.forest_seed_set |= key == "seed"
+                else:
+                    setattr(cfg, target, value)
+        except ValueError as exc:  # a value LexiconSpec or ForestConfig refuses
+            raise DataError(f"config section [{section}]: {exc}") from None
     return cfg
 
 
@@ -244,6 +245,13 @@ def _read_file(path: str, what: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise ResourceError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _write_file(path: Path, data: bytes, what: str) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ResourceError(f"cannot write {what}: {exc}") from None
 
 
 def load_resources(
@@ -310,9 +318,8 @@ def write_manifest(
         "outputs": outputs,
     }
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
-    manifest_path.write_bytes(
-        (json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=1) + "\n").encode("utf-8")
-    )
+    text = json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
+    _write_file(manifest_path, text.encode("utf-8"), "manifest")
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +347,7 @@ def _require(value, flag: str):
     return value
 
 
-def cmd_train(args) -> int:
-    cfg = _apply_common_flags(load_run_config(args.config), args)
+def cmd_train(args, cfg: RunConfig) -> int:
     train_path = _require(cfg.train_path, "--train")
     feature_config = cfg.feature_config()
     instances = parse_dataset(_read_file(train_path, "training dataset"), has_gold=True)
@@ -357,13 +363,11 @@ def cmd_train(args) -> int:
         n_threads=cfg.threads,
     )
     model_path = Path(args.model)
-    try:
-        with open(model_path, "wb") as sink:
-            save_model(result.model, sink)
-        schema_path = model_path.with_name(model_path.name + ".schema.json")
-        schema_path.write_bytes(result.schema.to_json().encode("utf-8"))
-    except OSError as exc:
-        raise ResourceError(f"cannot write model output: {exc}") from None
+    model_bytes = io.BytesIO()
+    save_model(result.model, model_bytes)
+    _write_file(model_path, model_bytes.getvalue(), "model output")
+    schema_path = model_path.with_name(model_path.name + ".schema.json")
+    _write_file(schema_path, result.schema.to_json().encode("utf-8"), "model output")
     write_manifest(
         model_path,
         "train",
@@ -377,8 +381,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    cfg = _apply_common_flags(load_run_config(args.config), args)
+def cmd_predict(args, cfg: RunConfig) -> int:
     model_bytes = _read_file(args.model, "model file")
     model = load_model(model_bytes)
     schema_path = args.schema or args.model + ".schema.json"
@@ -395,10 +398,7 @@ def cmd_predict(args) -> int:
     for inst, score in zip(instances, scores):
         lines.append(f"{inst.id}\t{score:.3f}\t{band_of(float(score)).value}")
     out_path = Path(args.output)
-    try:
-        out_path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    except OSError as exc:
-        raise ResourceError(f"cannot write predictions: {exc}") from None
+    _write_file(out_path, ("\n".join(lines) + "\n").encode("utf-8"), "predictions")
     inputs = [args.model, schema_path, args.input, *resources]
     write_manifest(out_path, "predict", cfg, inputs, [out_path.name])
     _say(args, f"{len(instances)} predictions written to {out_path}")
@@ -406,10 +406,7 @@ def cmd_predict(args) -> int:
 
 
 def _parse_predictions(data: bytes, path: str) -> dict[str, float]:
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"predictions file {path}: not valid UTF-8: {exc}") from None
+    lines = decode_utf8(data, f"predictions file {path}:").splitlines()
     if not lines:
         raise DataError(f"predictions file {path}: empty")
     header = lines[0].split("\t")
@@ -431,8 +428,7 @@ def _parse_predictions(data: bytes, path: str) -> dict[str, float]:
     return out
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _apply_common_flags(load_run_config(args.config), args)
+def cmd_evaluate(args, cfg: RunConfig) -> int:
     # The manifest records the resolved configs; a bad one fails before any output.
     cfg.feature_config()
     cfg.forest_config()
@@ -452,16 +448,12 @@ def cmd_evaluate(args) -> int:
     if args.report:
         text = render_report([AblationRow("evaluation", report)], args.format)
         report_path = Path(args.report)
-        try:
-            report_path.write_bytes(text.encode("utf-8"))
-        except OSError as exc:
-            raise ResourceError(f"cannot write report: {exc}") from None
+        _write_file(report_path, text.encode("utf-8"), "report")
         write_manifest(report_path, "evaluate", cfg, [args.pred, args.gold], [report_path.name])
     return 0
 
 
-def cmd_ablate(args) -> int:
-    cfg = _apply_common_flags(load_run_config(args.config), args)
+def cmd_ablate(args, cfg: RunConfig) -> int:
     train_path = _require(cfg.train_path, "--train")
     candidates = [c.strip() for c in args.candidates.split(",") if c.strip()]
     baseline = cfg.feature_config()
@@ -481,18 +473,14 @@ def cmd_ablate(args) -> int:
     )
     text = render_report(rows, args.format)
     report_path = Path(args.report)
-    try:
-        report_path.write_bytes(text.encode("utf-8"))
-    except OSError as exc:
-        raise ResourceError(f"cannot write report: {exc}") from None
+    _write_file(report_path, text.encode("utf-8"), "report")
     write_manifest(report_path, "ablate", cfg, [train_path, *resources], [report_path.name])
     for row in rows:
         _say(args, f"{row.label}: {_metrics_line(row.report)}")
     return 0
 
 
-def cmd_coverage(args) -> int:
-    cfg = _apply_common_flags(load_run_config(args.config), args)
+def cmd_coverage(args, cfg: RunConfig) -> int:
     train_path = _require(cfg.train_path, "--train")
     if args.lexicon not in cfg.lexicons:
         raise ResourceError(f"lexicon {args.lexicon!r} is not configured (add [lexicon:{args.lexicon}])")
@@ -570,6 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code of each failure ``main`` reports; the first type that matches wins.
+_EXIT_CODES = {UsageError: 1, DataError: 2, ResourceError: 3, ValueError: 2, OSError: 3}
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -580,22 +572,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
-    except UsageError as exc:
+        return args.func(args, _apply_common_flags(load_run_config(args.config), args))
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

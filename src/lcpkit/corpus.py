@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .errors import DataError
+from .errors import DataError, decode_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -82,14 +82,6 @@ class DatasetSplit:
     dev_fraction: float
 
 
-def _read_text(source: IO[bytes] | bytes) -> str:
-    data = source if isinstance(source, (bytes, bytearray)) else source.read()
-    try:
-        return bytes(data).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"input is not valid UTF-8: {exc}") from None
-
-
 def parse_dataset(source: IO[bytes] | bytes, has_gold: bool) -> list[Instance]:
     """Parse a dataset TSV into instances, preserving file order.
 
@@ -97,7 +89,7 @@ def parse_dataset(source: IO[bytes] | bytes, has_gold: bool) -> list[Instance]:
     must be empty on every row. Malformed rows, out-of-range complexity values
     and duplicate ids raise DataError naming the offending line or id.
     """
-    lines = _read_text(source).splitlines()
+    lines = decode_utf8(source, "input is").splitlines()
     if not lines:
         raise DataError("empty input: missing header row")
     header = lines[0].split("\t")

@@ -111,38 +111,18 @@ def render_report(rows: list[AblationRow], format: str = "markdown") -> str:
     """Render ablation rows as a markdown or CSV table (R, rho, MAE, MSE)."""
     if not rows:
         raise ValueError("cannot render an empty report")
+    cells = []
+    for row in rows:
+        r = row.report
+        cells.append([row.label, *map(format_metric, (r.pearson_r, r.spearman_rho, r.mae, r.mse))])
     if format == "markdown":
         lines = ["| Label | R | ρ | MAE | MSE |", "| --- | --- | --- | --- | --- |"]
-        for row in rows:
-            r = row.report
-            lines.append(
-                "| "
-                + " | ".join(
-                    [
-                        row.label,
-                        format_metric(r.pearson_r),
-                        format_metric(r.spearman_rho),
-                        format_metric(r.mae),
-                        format_metric(r.mse),
-                    ]
-                )
-                + " |"
-            )
+        lines.extend("| " + " | ".join(row) + " |" for row in cells)
         return "\n".join(lines) + "\n"
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["label", "r", "rho", "mae", "mse"])
-        for row in rows:
-            r = row.report
-            writer.writerow(
-                [
-                    row.label,
-                    format_metric(r.pearson_r),
-                    format_metric(r.spearman_rho),
-                    format_metric(r.mae),
-                    format_metric(r.mse),
-                ]
-            )
+        writer.writerows(cells)
         return buf.getvalue()
     raise ValueError(f"unknown report format {format!r}")

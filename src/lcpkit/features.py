@@ -22,7 +22,7 @@ from typing import IO, Callable, Collection, Iterator, Mapping, Protocol, Sequen
 import numpy as np
 
 from .corpus import Instance
-from .errors import DataError, ResourceError
+from .errors import DataError, ResourceError, decode_utf8
 from .forest import columns_fingerprint
 from .lexicons import BINARY, Lexicon, LexiconRegistry, lookup, merge_average, merge_binary_union
 
@@ -96,11 +96,7 @@ class LexiconTagger:
     def load(cls, source: IO[bytes] | bytes) -> "LexiconTagger":
         """Load a ``term<TAB>tag`` TSV; repeated terms keep their most frequent
         tag (ties to the lexicographically smaller tag)."""
-        data = source if isinstance(source, (bytes, bytearray)) else source.read()
-        try:
-            text = bytes(data).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"pos lexicon: not valid UTF-8: {exc}") from None
+        text = decode_utf8(source, "pos lexicon:")
         counts: dict[str, Counter] = {}
         for line_no, line in enumerate(text.splitlines(), start=1):
             parts = line.split("\t")
@@ -188,9 +184,6 @@ class FeatureSchema:
         vocabs = {"bigram": self.bigram_vocab, "trigram": self.trigram_vocab}
         return {name: {g: j for j, g in enumerate(vocab)} for name, vocab in vocabs.items()}
 
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
     def fingerprint(self) -> str:
         return columns_fingerprint(self.columns)
 
@@ -203,6 +196,8 @@ class FeatureSchema:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "FeatureSchema":
+        if not isinstance(text, str):
+            text = decode_utf8(text, "schema file:")
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -217,18 +212,33 @@ class FeatureSchema:
             }
             cfg = FeatureConfig(**{f.name: doc["config"][f.name] for f in fields(FeatureConfig)})
             return cls(config=cfg, **fitted)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"schema file: bad content: {exc}") from None
 
 
-def _counts(doc: dict) -> dict[str, int]:
-    return {k: int(v) for k, v in doc.items()}
+def _strings(doc) -> tuple[str, ...]:
+    if not (isinstance(doc, list) and all(isinstance(s, str) for s in doc)):
+        raise TypeError("expected a list of strings")
+    return tuple(doc)
+
+
+def _values(doc, convert: Callable) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError("expected an object")
+    return {k: convert(v) for k, v in doc.items()}
+
+
+def _counts(doc) -> dict[str, int]:
+    counts = _values(doc, int)
+    if not all(0 <= c < 2**63 for c in counts.values()):
+        raise ValueError("counts must be non-negative 64-bit integers")
+    return counts
 
 
 #: How a fitted schema field is read back from JSON, by its annotation.
 _FROM_JSON = {
-    "tuple[str, ...]": tuple,
-    "Mapping[str, float]": lambda doc: {k: float(v) for k, v in doc.items()},
+    "tuple[str, ...]": _strings,
+    "Mapping[str, float]": lambda doc: _values(doc, float),
     "Mapping[str, int]": _counts,
     "Mapping[str, int] | None": lambda doc: None if doc is None else _counts(doc),
 }
@@ -256,7 +266,8 @@ class _Rows:
 class Block:
     """A run of adjacent schema columns owned by one feature family.
 
-    ``columns`` names the block's columns from a fitted schema. ``lexicons``
+    ``columns`` names the block's columns from a fitted schema, and raises
+    ValueError when the schema lacks a fitted value the block reads. ``lexicons``
     gives the registry names the family reads under a config (a trailing
     ``*`` matches every name with that prefix; the missing-resource error
     lists them), and ``merge`` turns the lexicons found into the family's
@@ -321,8 +332,12 @@ def _lexicon_block(family: str, names: tuple[str, ...] | None = None, merge=Bloc
     def fill(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
         _fill_pair(out, rows.lookup(family), schema.impute[family])
 
-    columns = (family, f"{family}_present")
-    return Block(family, lambda schema: columns, fill, fit, lambda config: names or (family,), merge)
+    def columns(schema: FeatureSchema) -> tuple[str, ...]:
+        if not math.isfinite(schema.impute.get(family, math.nan)):
+            raise ValueError(f"feature family {family!r} has no finite imputation mean")
+        return (family, f"{family}_present")
+
+    return Block(family, columns, fill, fit, lambda config: names or (family,), merge)
 
 
 def _average(found: list[Lexicon]) -> Lexicon:
@@ -503,7 +518,8 @@ def extract_matrix(
     registry: LexiconRegistry,
     tagger: Tagger | None = None,
 ) -> np.ndarray:
-    """Feature vectors, shape (len(instances), len(schema.columns)).
+    """Feature vectors, shape (len(instances), len(schema.columns)); one
+    instance is extracted as a one-element sequence.
 
     Total over valid instances: missing lexicon values are imputed with their
     paired indicator set to 0, unknown n-grams count as 0, unknown POS maps
@@ -514,16 +530,6 @@ def extract_matrix(
     for block, cols in schema._layout:
         block.fill(rows, schema, out[:, cols])
     return out
-
-
-def extract(
-    instance: Instance,
-    schema: FeatureSchema,
-    registry: LexiconRegistry,
-    tagger: Tagger | None = None,
-) -> np.ndarray:
-    """Feature vector for one instance: row 0 of ``extract_matrix``."""
-    return extract_matrix([instance], schema, registry, tagger)[0]
 
 
 def with_families(config: FeatureConfig, *families: str) -> FeatureConfig:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -24,7 +25,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, decode_utf8
 
 _MAGIC = "LCPMODEL"
 _VERSION = 1
@@ -285,12 +286,9 @@ def fit(
         return _grow_tree(X, y, config, rng)
 
     if n_threads == 0:
-        n_threads = max(1, __import__("os").cpu_count() or 1)
-    if n_threads == 1:
-        trees = [build(t) for t in range(config.n_trees)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            trees = list(pool.map(build, range(config.n_trees)))
+        n_threads = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        trees = list(pool.map(build, range(config.n_trees)))
     return RandomForest(trees=trees, config=config, feature_names=feature_names)
 
 
@@ -315,7 +313,8 @@ def _leaves(nodes: _Nodes, X: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(model: RandomForest, X) -> np.ndarray:
-    """Mean of the individual tree outputs for each row. Raw, unclamped.
+    """Mean of the individual tree outputs for each row of a 2-D ``X``. Raw,
+    unclamped. A single row is scored as a one-row ``X``.
 
     Leaf values are summed in tree order, so a row's result does not depend
     on the rows scored with it.
@@ -332,22 +331,6 @@ def predict_batch(model: RandomForest, X) -> np.ndarray:
         for values in nodes.value[_leaves(nodes, X[start : start + block])]:
             out += values
     return acc / n_trees
-
-
-def predict(model: RandomForest, x) -> float:
-    """Forest prediction for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"x must be 1-dimensional, got shape {x.shape}")
-    return float(predict_batch(model, x[None, :])[0])
-
-
-def clamp_unit(v: float) -> float:
-    """Clamp a finite value into [0, 1]."""
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValueError(f"cannot clamp non-finite value {v!r}")
-    return min(1.0, max(0.0, v))
 
 
 def save_model(model: RandomForest, sink: IO[bytes]) -> None:
@@ -396,11 +379,7 @@ def _parse_config_lines(pairs: dict[str, str]) -> ForestConfig:
 def load_model(source: IO[bytes] | bytes) -> RandomForest:
     """Parse a model stream produced by save_model. Raises DataError on any
     format violation (bad magic, version mismatch, truncation, bad indices)."""
-    data = source if isinstance(source, (bytes, bytearray)) else source.read()
-    try:
-        lines = bytes(data).decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"model file: not valid UTF-8: {exc}") from None
+    lines = decode_utf8(source, "model file:").splitlines()
     if not lines:
         raise DataError("model file: empty stream")
     head = lines[0].split(" ")

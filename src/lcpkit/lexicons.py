@@ -8,10 +8,11 @@ frequency counts); binary lexicons hold 0/1 prior complexity labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
-from .errors import DataError
+from .errors import DataError, decode_utf8
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -70,15 +71,10 @@ def load_lexicon(spec: LexiconSpec, source: IO[bytes] | bytes) -> Lexicon:
     """Load a lexicon from a UTF-8 TSV stream.
 
     Duplicate terms are averaged (continuous) or resolved 1-if-any-1 (binary).
-    Non-numeric value cells, out-of-{0,1} binary values, short rows and empty
-    terms raise DataError with the line number.
+    Non-numeric or non-finite value cells, out-of-{0,1} binary values, short
+    rows and empty terms raise DataError with the line number.
     """
-    data = source if isinstance(source, (bytes, bytearray)) else source.read()
-    try:
-        text = bytes(data).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"lexicon {spec.name!r}: not valid UTF-8: {exc}") from None
-
+    text = decode_utf8(source, f"lexicon {spec.name!r}:")
     need = max(spec.term_column, spec.value_column) + 1
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -103,6 +99,8 @@ def load_lexicon(spec: LexiconSpec, source: IO[bytes] | bytes) -> Lexicon:
             raise DataError(
                 f"lexicon {spec.name!r} line {line_no}: non-numeric value {cell!r}"
             ) from None
+        if not math.isfinite(value):
+            raise DataError(f"lexicon {spec.name!r} line {line_no}: non-finite value {cell!r}")
         if spec.kind == BINARY and value not in (0.0, 1.0):
             raise DataError(
                 f"lexicon {spec.name!r} line {line_no}: binary value must be 0 or 1, got {cell}"
@@ -113,6 +111,8 @@ def load_lexicon(spec: LexiconSpec, source: IO[bytes] | bytes) -> Lexicon:
         else:
             sums[term] = sums.get(term, 0.0) + value
             counts[term] = counts.get(term, 0) + 1
+            if not math.isfinite(sums[term]):
+                raise DataError(f"lexicon {spec.name!r} line {line_no}: the values of {term!r} overflow")
     entries = {t: sums[t] / counts[t] for t in sums}
     return Lexicon(name=spec.name, kind=spec.kind, entries=entries, lowercase=spec.lowercase)
 
@@ -200,6 +200,3 @@ class LexiconRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._by_name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name

@@ -81,7 +81,7 @@ def fit_and_evaluate(
     schema = fit_schema(split.train, registry, feature_config, tagger)
     X = extract_matrix(split.train, schema, registry, tagger)
     y = gold_vector(split.train)
-    model = forest.fit(X, y, forest_config, feature_names=schema.column_names(), n_threads=n_threads)
+    model = forest.fit(X, y, forest_config, feature_names=schema.columns, n_threads=n_threads)
     side = split.dev if eval_on == "dev" else split.train
     report = None
     if side:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
 import random
 import string
+from typing import Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 from lcpkit.corpus import Instance, parse_dataset
 from lcpkit.lexicons import Lexicon, LexiconRegistry
@@ -91,3 +95,67 @@ def synthetic_complexity(word: str, freq: int, noise: float, max_log: float) -> 
     deficit = max_log - math.log1p(freq)
     raw = 0.1 * syllable_count(word) + 0.05 * deficit + noise
     return min(1.0, max(0.0, raw))
+
+
+def tsv_inputs(valid: bytes, tokens: Sequence[bytes], max_cells: int, head: bytes = b"") -> st.SearchStrategy[bytes]:
+    """Inputs for a TSV parser: arbitrary bytes, ``head`` followed by up to 8
+    lines of 1 to ``max_cells`` tab-separated ``tokens``, or ``valid`` with
+    one ``mutated`` edit."""
+    line = st.lists(st.sampled_from(tokens), min_size=1, max_size=max_cells).map(b"\t".join)
+    lines = st.lists(line, max_size=8).map(lambda ls: head + b"\n".join(ls))
+    return st.one_of(st.binary(max_size=200), lines, mutated(valid, b"\t", tokens))
+
+
+@st.composite
+def mutated(draw, valid: bytes, sep: bytes, tokens: Sequence[bytes]) -> bytes:
+    """``valid`` with one random edit: a ``sep``-separated token of one line
+    replaced by one of ``tokens``, a line replaced by random bytes, deleted,
+    duplicated or swapped with another, or a few bytes spliced in anywhere."""
+    lines = valid.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["token", "line", "delete", "duplicate", "swap", "splice"]))
+    if op == "token":
+        parts = lines[i].split(sep)
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(tokens))
+        lines[i] = sep.join(parts)
+    elif op == "line":
+        lines[i] = draw(st.binary(max_size=24))
+    elif op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(j, lines[i])
+    elif op == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    data = b"\n".join(lines)
+    if op == "splice":
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.binary(max_size=6)) + data[k + draw(st.integers(0, 6)) :]
+    return data
+
+
+#: What a member of a JSON document may be replaced with: a number by an
+#: edge-case number, anything else by a value of another type.
+JSON_NUMBERS = [math.nan, math.inf, -math.inf, -1, 0, 10**30]
+JSON_VALUES = [1.5, "x", "", None, True, [], {}, ["x"], {"x": 1}, {"x": -1}]
+
+
+@st.composite
+def mutated_json(draw, valid: bytes) -> bytes:
+    """``valid`` JSON with one to three edits. Each walks down from the top
+    to a random member and replaces it or, in an object, deletes it."""
+    doc = json.loads(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child and draw(st.integers(0, 3))):
+                break
+            node = child
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            number = isinstance(child, (int, float)) and not isinstance(child, bool)
+            node[key] = copy.deepcopy(draw(st.sampled_from(JSON_NUMBERS if number else JSON_VALUES)))
+    return json.dumps(doc).encode("utf-8")

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import random
+import re
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lcpkit.cli import main
+from lcpkit.cli import _KEYS, _parse_predictions, load_run_config, main
+from lcpkit.errors import DataError, LcpkitError
+from lcpkit.lexicons import LexiconSpec
 
-from conftest import random_word, synthetic_complexity
+from conftest import mutated, mutated_json, random_word, synthetic_complexity, tsv_inputs
 
 
 def build_workspace(tmp_path, n=60, seed=0, lexicons=("frequency", "prevalence", "aoa_1981",
@@ -156,6 +163,25 @@ class TestTrain:
                    "--model", workspace["tmp"] / "m.lcpmodel")
         assert code == 2
 
+    @pytest.mark.parametrize("text,section", [
+        ("[lexicon:x]\npath = x.tsv\nkind = weird\n", "[lexicon:x]"),
+        ("[forest]\nn_trees = 0\n", "[forest]"),
+    ])
+    def test_config_value_error_is_data_error_naming_section(self, tmp_path, text, section):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"config section {section}")):
+            load_run_config(str(cfg))
+
+    def test_non_finite_lexicon_value_names_file_and_line(self, workspace, capsys):
+        freq = workspace["tmp"] / "frequency.tsv"
+        n_lines = len(freq.read_text().splitlines())
+        freq.write_text(freq.read_text() + "zzz\tnan\n")
+        code = run("train", "--config", workspace["config"], "--model", workspace["tmp"] / "m.lcpmodel",
+                   "--features", "length,frequency")
+        assert code == 2
+        assert f"lexicon 'frequency' line {n_lines + 1}: non-finite value" in capsys.readouterr().err
+
     def test_unknown_config_key_is_data_error(self, workspace, capsys):
         cfg = workspace["tmp"] / "typo.ini"
         cfg.write_text("[forest]\nn_tres = 10\n")
@@ -233,6 +259,16 @@ class TestPredict:
                    "--input", workspace["test"], "--output", workspace["tmp"] / "p.tsv")
         assert code == 3
         assert "tagger" in capsys.readouterr().err
+
+    def test_bad_schema_sidecar_is_data_error(self, workspace, trained, capsys):
+        sidecar = workspace["tmp"] / "bad.schema.json"
+        doc = json.loads((workspace["tmp"] / "out.lcpmodel.schema.json").read_text())
+        doc["impute"] = []
+        sidecar.write_text(json.dumps(doc))
+        code = run("predict", "--config", workspace["config"], "--model", trained, "--schema", sidecar,
+                   "--input", workspace["test"], "--output", workspace["tmp"] / "p.tsv")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: schema file: bad content")
 
     def test_missing_model_is_resource_error(self, workspace):
         code = run("predict", "--config", workspace["config"],
@@ -355,3 +391,113 @@ class TestParser:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run("transmogrify") == 1
+
+
+PREDICTION_TOKENS = [b"", b"id", b"prediction", b"t1", b"0.5", b"nan", b"-inf", b"x", b"\xff"]
+
+
+class TestParsePredictionsFuzz:
+    """_parse_predictions either returns id -> float or raises DataError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tsv_inputs(b"id\tprediction\tband\nt1\t0.500\tdifficult\nt2\t0.1\teasy\n", PREDICTION_TOKENS, 3))
+    def test_arbitrary_and_mutated_bytes(self, data):
+        try:
+            predictions = _parse_predictions(data, "pred.tsv")
+        except DataError:
+            return
+        assert all(isinstance(v, float) for v in predictions.values())
+
+
+#: Words that reach the run config's section, key and value checks.
+CONFIG_TOKENS = [b"", b"=", b"0", b"-1", b"1.5", b"none", b"true", b"maybe", b"weird", b"binary", b"nope",
+                 b"lcp_rit", b"length,pos", b"[x]", b"[lexicon:]", b"%(x)s", b"\xff", b"\t"]
+
+
+#: Every section of the run config with its keys; ``lexicon:x`` stands for any lexicon.
+CONFIG_KEYS = {section: [k for s, k in _KEYS if s == section] for section, _ in _KEYS}
+CONFIG_KEYS["lexicon:x"] = [f.name for f in fields(LexiconSpec) if f.name != "name"]
+
+
+@st.composite
+def config_sections(draw) -> bytes:
+    """Known sections and keys with values drawn from CONFIG_TOKENS. A
+    lexicon section names its path, so its other values reach LexiconSpec."""
+    lines = []
+    for section in draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), min_size=1, max_size=4, unique=True)):
+        lines.append(f"[{section}]".encode() + (b"\npath = x.tsv" if section.startswith("lexicon:") else b""))
+        for key in draw(st.lists(st.sampled_from(CONFIG_KEYS[section]), min_size=1, max_size=4, unique=True)):
+            lines.append(key.encode() + b" = " + draw(st.sampled_from(CONFIG_TOKENS)))
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """A CLI workspace with a trained model, and predictions for every
+    training id."""
+    ws = build_workspace(tmp_path_factory.mktemp("fuzz"))
+    ws["model"] = ws["tmp"] / "m.lcpmodel"
+    assert run("train", "--config", ws["config"], "--model", ws["model"], "--quiet") == 0
+    ws["pred"] = ws["tmp"] / "pred.tsv"
+    ids = [line.split("\t")[0] for line in ws["train"].read_text().splitlines()]
+    ws["pred"].write_text("id\tprediction\n" + "".join(f"{i}\t0.5\n" for i in ids[1:]))
+    return ws
+
+
+def quiet_main(*argv) -> tuple[int, str]:
+    """``main``'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+class TestRunConfigFuzz:
+    """load_run_config either returns a config or raises an LcpkitError, and
+    ``lcp`` turns a fuzzed config into an exit code, never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_arbitrary_and_mutated_configs(self, fuzz_workspace, data):
+        valid = fuzz_workspace["config"].read_bytes() + b"\n[features]\npreset = lcp_rit\ntrigram_min_count = 5\n"
+        choice = data.draw(st.integers(0, 2))
+        if choice == 0:
+            text = data.draw(st.binary(max_size=200))
+        elif choice == 1:
+            text = data.draw(config_sections())
+        else:
+            text = data.draw(mutated(valid, b" ", CONFIG_TOKENS))
+        path = fuzz_workspace["tmp"] / "fuzzed.ini"
+        path.write_bytes(text)
+        try:
+            load_run_config(str(path))
+        except LcpkitError:
+            pass
+        code, err = quiet_main("evaluate", "--config", path, "--pred", fuzz_workspace["pred"],
+                               "--gold", fuzz_workspace["train"])
+        assert code in (0, 1, 2, 3)
+        assert code == 0 or err.startswith("error: ")
+
+
+class TestSchemaSidecarFuzz:
+    """``lcp predict`` turns a fuzzed schema sidecar into an exit code, never
+    a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_arbitrary_and_mutated_sidecars(self, fuzz_workspace, data):
+        valid = (fuzz_workspace["tmp"] / "m.lcpmodel.schema.json").read_bytes()
+        choice = data.draw(st.integers(0, 2))
+        if choice == 0:
+            text = data.draw(st.binary(max_size=200))
+        elif choice == 1:
+            text = data.draw(mutated(valid, b" ", [b"NaN", b"-1", b"[]", b"{}", b'"x"', b"null", b"1e400"]))
+        else:
+            text = data.draw(mutated_json(valid))
+        sidecar = fuzz_workspace["tmp"] / "fuzzed.schema.json"
+        sidecar.write_bytes(text)
+        code, err = quiet_main("predict", "--config", fuzz_workspace["config"], "--model", fuzz_workspace["model"],
+                               "--schema", sidecar, "--input", fuzz_workspace["test"],
+                               "--output", fuzz_workspace["tmp"] / "fuzzed.tsv")
+        assert code in (0, 1, 2, 3)
+        assert code == 0 or err.startswith("error: ")

@@ -2,7 +2,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lcpkit.corpus import (
     BandLabel,
@@ -14,7 +14,7 @@ from lcpkit.corpus import (
 )
 from lcpkit.errors import DataError
 
-from conftest import dataset_tsv, make_instances
+from conftest import dataset_tsv, make_instances, tsv_inputs
 
 
 class TestParse:
@@ -180,3 +180,30 @@ class TestInstance:
     def test_nan_gold_rejected(self):
         with pytest.raises(ValueError):
             Instance("x", "bible", "a cat", "cat", math.nan)
+
+
+#: Cells that reach the parser's header, column, id and gold checks.
+DATASET_TOKENS = [b"", b" ", b"a1", b"cat", b"0", b"1", b"0.5", b"-0.1", b"1.5", b"nan", b"inf", b"x",
+                  b"complexity", b"\xff", b"\r"]
+DATASET_HEADER = b"id\tcorpus\tsentence\ttoken\tcomplexity\n"
+VALID_DATASET = dataset_tsv([
+    ("a1", "bible", "a cat sat", "cat", "0.25"),
+    ("a2", "biomed", "the enzyme", "enzyme", ""),
+    ("a3", "europarl", "a vote", "vote", "1"),
+])
+
+
+class TestParseDatasetFuzz:
+    """parse_dataset either returns valid instances or raises DataError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tsv_inputs(VALID_DATASET, DATASET_TOKENS, 6, head=DATASET_HEADER), st.booleans())
+    def test_arbitrary_and_mutated_bytes(self, data, has_gold):
+        try:
+            instances = parse_dataset(data, has_gold=has_gold)
+        except DataError:
+            return
+        assert len({inst.id for inst in instances}) == len(instances)
+        for inst in instances:
+            assert inst.token.strip()
+            assert inst.gold is None or (has_gold and 0.0 <= inst.gold <= 1.0)

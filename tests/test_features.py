@@ -1,29 +1,40 @@
+import json
 import math
 import random
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcpkit.corpus import Instance
-from lcpkit.errors import DataError, ResourceError
+from lcpkit.errors import DataError, LcpkitError, ResourceError
 from lcpkit.features import (
     FEATURE_FAMILIES,
+    POS_TAGSET,
     FeatureConfig,
+    FeatureSchema,
     LexiconTagger,
     PRESETS,
     char_ngrams,
-    extract,
     extract_matrix,
     fit_schema,
     syllable_count,
 )
 from lcpkit.lexicons import Lexicon
 
-from conftest import binary_lexicon, continuous_lexicon, make_registry
+from conftest import binary_lexicon, continuous_lexicon, make_registry, mutated, mutated_json, tsv_inputs
 
 
 def inst(token, ident="t1", gold=0.5) -> Instance:
     return Instance(ident, "bible", f"the word {token} in context", token, gold)
+
+
+def extract_one(instance, schema, registry, tagger=None) -> np.ndarray:
+    """The feature vector of one instance: a one-row ``extract_matrix``."""
+    X = extract_matrix([instance], schema, registry, tagger)
+    assert X.shape == (1, len(schema.columns))
+    return X[0]
 
 
 class TestSyllables:
@@ -133,14 +144,14 @@ class TestFitSchema:
             )
             for col in (fam, f"{fam}_present")
         ]
-        assert schema.column_names() == [
+        assert schema.columns == (
             "length", "syllables", *lexicon_pairs,
             "pos=ADJ", "pos=ADP", "pos=ADV", "pos=CONJ", "pos=DET", "pos=NOUN",
             "pos=NUM", "pos=PRON", "pos=PRT", "pos=VERB", "pos=X", "pos=.",
             "bigram_log_mean", "bigram_log_min", "trigram_log_mean", "trigram_log_min",
             "bi:^c", "bi:at", "bi:ca", "bi:t$",
             "tri:^ca", "tri:at$", "tri:cat",
-        ]
+        )
 
     def test_trigram_vocab_counting(self):
         train = [inst(t, f"i{k}") for k, t in enumerate(["cat", "cap", "cat"])]
@@ -244,6 +255,35 @@ class TestFitSchema:
         assert again.to_json() == schema.to_json()
         assert again.fingerprint() == schema.fingerprint()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("impute", []), ("trigram_counts", "abc"), ("impute", {"prevalence": math.nan})],
+    )
+    def test_bad_sidecar_field_is_data_error(self, field, value):
+        doc = json.loads(sidecar_schema().to_json())
+        doc[field] = value
+        with pytest.raises(DataError, match="schema file: bad content"):
+            FeatureSchema.from_json(json.dumps(doc).encode("utf-8"))
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "latin-1"])
+    def test_non_utf8_sidecar_is_data_error(self, encoding):
+        text = sidecar_schema().to_json().replace("cat", "caté")
+        with pytest.raises(DataError, match="schema file: not valid UTF-8"):
+            FeatureSchema.from_json(text.encode(encoding))
+
+
+@cache
+def sidecar_schema() -> FeatureSchema:
+    """A fitted schema whose sidecar carries every fitted field."""
+    train = [inst("cat", "i1"), inst("catnip", "i2")]
+    registry = make_registry(prev=continuous_lexicon("prevalence", {"cat": 2.0}))
+    config = FeatureConfig(
+        enabled=frozenset({"length", "frequency", "prevalence", "pos", "char_bigrams", "char_trigrams"}),
+        trigram_min_count=1,
+        frequency_source="corpus_internal",
+    )
+    return fit_schema(train, registry, config, LexiconTagger({"cat": "NOUN"}))
+
 
 class TestExtract:
     def make_schema(self, tokens=("cat", "dog", "newt"), families=("length",), **kwargs):
@@ -254,15 +294,15 @@ class TestExtract:
 
     def test_length_column(self):
         _, registry, schema = self.make_schema()
-        assert extract(inst("cat"), schema, registry).tolist() == [3.0]
+        assert extract_one(inst("cat"), schema, registry).tolist() == [3.0]
 
     def test_imputed_value_with_indicator(self):
         _, registry, schema = self.make_schema(
             families=("prevalence",),
             prev=continuous_lexicon("prevalence", {"cat": 2.0, "dog": 2.2}),
         )
-        covered = extract(inst("cat"), schema, registry)
-        missing = extract(inst("zebra"), schema, registry)
+        covered = extract_one(inst("cat"), schema, registry)
+        missing = extract_one(inst("zebra"), schema, registry)
         assert covered.tolist() == [2.0, 1.0]
         assert missing.tolist() == [pytest.approx(2.1), 0.0]
 
@@ -270,8 +310,8 @@ class TestExtract:
         train = [inst(t, f"i{k}") for k, t in enumerate(["cat", "cat", "xyz", "xyz"])]
         config = FeatureConfig(enabled=frozenset({"char_trigrams"}), trigram_min_count=2)
         schema = fit_schema(train, make_registry(), config)
-        vec = extract(inst("cat"), schema, make_registry())
-        names = schema.column_names()
+        vec = extract_one(inst("cat"), schema, make_registry())
+        names = schema.columns
         counts = dict(zip(names[2:], vec[2:]))
         assert counts["tri:^ca"] == 1.0
         assert counts["tri:at$"] == 1.0
@@ -281,7 +321,7 @@ class TestExtract:
         train = [inst("cat", "i1"), inst("cat", "i2")]
         config = FeatureConfig(enabled=frozenset({"char_trigrams"}), trigram_min_count=1)
         schema = fit_schema(train, make_registry(), config)
-        vec = extract(inst("cap"), schema, make_registry())
+        vec = extract_one(inst("cap"), schema, make_registry())
         # trigrams of ^cap$: ^ca (count 2), cap (0), ap$ (0)
         logs = [math.log1p(2), 0.0, 0.0]
         assert vec[0] == pytest.approx(sum(logs) / 3)
@@ -292,8 +332,8 @@ class TestExtract:
             families=("frequency",),
             freq=continuous_lexicon("frequency", {"cat": 99.0}),
         )
-        present = extract(inst("cat"), schema, registry)
-        absent = extract(inst("zebra"), schema, registry)
+        present = extract_one(inst("cat"), schema, registry)
+        absent = extract_one(inst("zebra"), schema, registry)
         assert present.tolist() == [pytest.approx(math.log1p(99.0)), 1.0]
         assert absent.tolist() == [0.0, 0.0]
 
@@ -304,7 +344,7 @@ class TestExtract:
         ]
         config = FeatureConfig(enabled=frozenset({"frequency"}), frequency_source="corpus_internal")
         schema = fit_schema(train, make_registry(), config)
-        vec = extract(train[0], schema, make_registry())
+        vec = extract_one(train[0], schema, make_registry())
         assert vec.tolist() == [pytest.approx(math.log1p(2)), 1.0]
 
     def test_pos_one_hot(self):
@@ -312,11 +352,11 @@ class TestExtract:
         train = [inst("river", "i1"), inst("flows", "i2")]
         config = FeatureConfig(enabled=frozenset({"pos"}))
         schema = fit_schema(train, make_registry(), config, tagger)
-        names = schema.column_names()
-        vec = extract(inst("river"), schema, make_registry(), tagger)
+        names = schema.columns
+        vec = extract_one(inst("river"), schema, make_registry(), tagger)
         assert vec[names.index("pos=NOUN")] == 1.0
         assert vec.sum() == 1.0
-        unknown = extract(inst("qqq"), schema, make_registry(), tagger)
+        unknown = extract_one(inst("qqq"), schema, make_registry(), tagger)
         assert unknown[names.index("pos=X")] == 1.0
 
     def test_vector_length_matches_schema(self, tiny_instances):
@@ -347,10 +387,10 @@ class TestExtract:
         schema_all = fit_schema(tiny_instances, registry, config_all)
         schema_less = fit_schema(tiny_instances, registry, config_less)
         removed = {"prevalence", "prevalence_present"}
-        assert set(schema_all.column_names()) - set(schema_less.column_names()) == removed
+        assert set(schema_all.columns) - set(schema_less.columns) == removed
         X_all = extract_matrix(tiny_instances, schema_all, registry)
         X_less = extract_matrix(tiny_instances, schema_less, registry)
-        keep = [i for i, n in enumerate(schema_all.column_names()) if n not in removed]
+        keep = [i for i, n in enumerate(schema_all.columns) if n not in removed]
         assert np.array_equal(X_all[:, keep], X_less)
 
     def test_extract_is_the_matrix_row(self):
@@ -358,7 +398,7 @@ class TestExtract:
         probes = [inst(t, f"p{k}") for k, t in enumerate(["cat", "zebra", "Cats", "ß", "a-b"])]
         X = extract_matrix(probes, schema, registry, tagger)
         for k, probe in enumerate(probes):
-            assert extract(probe, schema, registry, tagger).tobytes() == X[k].tobytes()
+            assert extract_matrix([probe], schema, registry, tagger).tobytes() == X[k : k + 1].tobytes()
 
     def test_extract_total_over_odd_tokens(self):
         _, registry, schema = self.make_schema(
@@ -369,7 +409,7 @@ class TestExtract:
         )
         odd_tokens = ["固", "ß", "ŒUF", "a-b", "x1", "...", "日本語", "🙂"]
         for k, tok in enumerate(odd_tokens):
-            vec = extract(inst(tok, f"o{k}"), schema, registry)
+            vec = extract_one(inst(tok, f"o{k}"), schema, registry)
             assert vec.shape == (len(schema.columns),)
             assert np.all(np.isfinite(vec))
 
@@ -399,3 +439,59 @@ class TestLexiconTagger:
     def test_purity(self):
         tagger = LexiconTagger({"cat": "NOUN"})
         assert tagger("cat", "a") == tagger("cat", "b") == "NOUN"
+
+
+TAGGER_TOKENS = [b"", b" ", b"run", b"RUN", b"NOUN", b"VERB", b"X", b".", b"NN", b"\xff"]
+
+
+class TestLexiconTaggerFuzz:
+    """LexiconTagger.load either returns a tagger that answers in the tagset
+    or raises DataError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tsv_inputs(b"river\tNOUN\nrun\tVERB\nrun\tNOUN\n", TAGGER_TOKENS, 3))
+    def test_arbitrary_and_mutated_bytes(self, data):
+        try:
+            tagger = LexiconTagger.load(data)
+        except DataError:
+            return
+        for token in ("river", "run", "zzz"):
+            assert tagger(token, "") in POS_TAGSET
+
+
+#: Tokens that reach the schema reader's JSON, type and range checks.
+JSON_TOKENS = [b"NaN", b"Infinity", b"-1", b"0", b"1e400", b"1" + b"0" * 30, b'"x"', b"[]", b"{}", b"null",
+               b"true", b'""', b"1.5", b","]
+
+
+@st.composite
+def schema_inputs(draw) -> bytes:
+    valid = sidecar_schema().to_json().encode("utf-8")
+    choice = draw(st.integers(0, 3))
+    if choice == 0:
+        return draw(st.binary(max_size=200))
+    if choice == 1:
+        return draw(mutated(valid, b" ", JSON_TOKENS))
+    return draw(mutated_json(valid))
+
+
+class TestSchemaFromJsonFuzz:
+    """FeatureSchema.from_json either returns a schema that extracts finite
+    vectors of its width or raises DataError; extraction may only refuse with
+    an LcpkitError (say, a family whose lexicon is missing)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(schema_inputs())
+    def test_arbitrary_and_mutated_sidecars(self, data):
+        try:
+            schema = FeatureSchema.from_json(data)
+        except DataError:
+            return
+        probes = [inst("cat", "p1"), inst("zebra", "p2"), inst("ß", "p3")]
+        registry = make_registry(prev=continuous_lexicon("prevalence", {"cat": 2.0}))
+        try:
+            X = extract_matrix(probes, schema, registry, LexiconTagger({"cat": "NOUN"}))
+        except LcpkitError:
+            return
+        assert X.shape == (len(probes), len(schema.columns))
+        assert np.all(np.isfinite(X))

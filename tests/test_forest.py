@@ -10,19 +10,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcpkit import forest as forest_module
+from lcpkit.corpus import Instance
 from lcpkit.errors import DataError
+from lcpkit.features import FeatureConfig, fit_schema
 from lcpkit.forest import (
     ForestConfig,
     RandomForest,
     Tree,
-    clamp_unit,
     derive_seed,
     fit,
     load_model,
-    predict,
     predict_batch,
     save_model,
 )
+from lcpkit.lexicons import LexiconRegistry
+from lcpkit.pipeline import predict_scores
+
+from conftest import mutated
 
 
 def single_tree_config(**kwargs) -> ForestConfig:
@@ -66,21 +70,21 @@ class TestFit:
         tree = model.trees[0]
         assert tree.feature[0] == 0
         assert tree.threshold[0] == 2.5
-        assert predict(model, [1.0]) == 0.0
-        assert predict(model, [4.0]) == 1.0
+        assert predict_batch(model, [[1.0]]).tolist() == [0.0]
+        assert predict_batch(model, [[4.0]]).tolist() == [1.0]
 
     def test_constant_targets_single_leaf(self):
         model = fit([[1.0], [2.0], [3.0]], [0.4, 0.4, 0.4], ForestConfig(n_trees=5, seed=1))
         for tree in model.trees:
             assert tree.n_nodes == 1
             assert tree.value[0] == 0.4
-        assert predict(model, [99.0]) == 0.4
+        assert predict_batch(model, [[99.0]]).tolist() == [0.4]
 
     def test_two_leaf_forest_averages(self):
         leaf_a = Tree([-1], [0.0], [-1], [-1], [0.2])
         leaf_b = Tree([-1], [0.0], [-1], [-1], [0.6])
         model = RandomForest(trees=[leaf_a, leaf_b], config=ForestConfig(n_trees=2), feature_names=["f0"])
-        assert predict(model, [0.0]) == pytest.approx(0.4)
+        assert predict_batch(model, [[0.0]])[0] == pytest.approx(0.4)
 
     def test_deterministic_across_runs_and_threads(self):
         rng = np.random.default_rng(5)
@@ -200,12 +204,12 @@ class TestPredict:
     def test_dimension_mismatch_rejected(self):
         model = fit([[1.0], [2.0]], [0.0, 1.0], single_tree_config())
         with pytest.raises(ValueError):
-            predict(model, [1.0, 2.0])
+            predict_batch(model, [[1.0, 2.0]])
 
     def test_non_finite_probe_rejected(self):
         model = fit([[1.0], [2.0]], [0.0, 1.0], single_tree_config())
         with pytest.raises(ValueError):
-            predict(model, [math.nan])
+            predict_batch(model, [[math.nan]])
 
 
 def reference_predict(model: RandomForest, X: np.ndarray) -> np.ndarray:
@@ -274,9 +278,9 @@ class TestFlatTraversal:
         X = np.array(cells, dtype=np.float64).reshape(rows, model.n_features)
         with mock.patch.object(forest_module, "_PAIRS_PER_BLOCK", self.PAIRS):
             batch = predict_batch(model, X)
-            single = predict(model, X[-1])
+            single = predict_batch(model, X[-1:])
         assert batch.tobytes() == reference_predict(model, X).tobytes()
-        assert np.float64(single).tobytes() == batch[-1].tobytes()
+        assert single.tobytes() == batch[-1:].tobytes()
 
     def test_real_block_size_boundary(self):
         rng = np.random.default_rng(21)
@@ -291,18 +295,20 @@ class TestFlatTraversal:
         X = rng.choice(GRID, size=(block + 1, 3))
         batch = predict_batch(model, X)
         assert batch.tobytes() == reference_predict(model, X).tobytes()
-        assert np.float64(predict(model, X[block])).tobytes() == batch[block].tobytes()
+        assert predict_batch(model, X[block:]).tobytes() == batch[block:].tobytes()
 
 
 class TestClamp:
+    """The forest's raw output leaves ``predict_scores`` clamped into [0, 1]."""
+
     @pytest.mark.parametrize("v,expected", [(0.5, 0.5), (-0.01, 0.0), (1.2, 1.0), (0.0, 0.0), (1.0, 1.0)])
     def test_values(self, v, expected):
-        assert clamp_unit(v) == expected
-
-    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, v):
-        with pytest.raises(ValueError):
-            clamp_unit(v)
+        rows = [Instance("i1", "bible", "a cat sat", "cat", 0.5)]
+        schema = fit_schema(rows, LexiconRegistry(), FeatureConfig(enabled=frozenset({"length"})))
+        leaf = Tree([-1], [0.0], [-1], [-1], [v])
+        model = RandomForest(trees=[leaf], config=ForestConfig(n_trees=1), feature_names=list(schema.columns))
+        assert predict_batch(model, [[3.0]]).tolist() == [v]
+        assert predict_scores(rows, schema, model, LexiconRegistry()).tolist() == [expected]
 
 
 class TestPersistence:
@@ -396,27 +402,7 @@ TOKENS = [b"-1", b"0", b"1", b"2", b"3", b"99", b"nan", b"inf", b"-0.0", b"1e308
 
 @st.composite
 def mutated_models(draw) -> bytes:
-    lines = valid_model_bytes().split(b"\n")
-    i = draw(st.integers(0, len(lines) - 1))
-    j = draw(st.integers(0, len(lines) - 1))
-    op = draw(st.sampled_from(["token", "line", "delete", "duplicate", "swap", "splice"]))
-    if op == "token":
-        parts = lines[i].split(b" ")
-        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(TOKENS))
-        lines[i] = b" ".join(parts)
-    elif op == "line":
-        lines[i] = draw(st.binary(max_size=24))
-    elif op == "delete":
-        del lines[i]
-    elif op == "duplicate":
-        lines.insert(j, lines[i])
-    elif op == "swap":
-        lines[i], lines[j] = lines[j], lines[i]
-    data = b"\n".join(lines)
-    if op == "splice":
-        k = draw(st.integers(0, len(data)))
-        data = data[:k] + draw(st.binary(max_size=6)) + data[k + draw(st.integers(0, 6)) :]
-    return data
+    return draw(mutated(valid_model_bytes(), b" ", TOKENS))
 
 
 class TestLoadModelFuzz:

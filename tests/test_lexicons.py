@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcpkit.errors import DataError
 from lcpkit.lexicons import (
@@ -10,7 +13,7 @@ from lcpkit.lexicons import (
     merge_binary_union,
 )
 
-from conftest import binary_lexicon, continuous_lexicon, lexicon_tsv
+from conftest import binary_lexicon, continuous_lexicon, lexicon_tsv, tsv_inputs
 
 
 def cont_spec(name="test", **kwargs) -> LexiconSpec:
@@ -56,6 +59,15 @@ class TestLoad:
     def test_binary_value_out_of_domain(self):
         with pytest.raises(DataError, match="0 or 1"):
             load_lexicon(bin_spec(), lexicon_tsv([("dog", 0.5)]))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_lexicon_and_line(self, cell):
+        with pytest.raises(DataError, match="lexicon 'test' line 2: non-finite value"):
+            load_lexicon(cont_spec(), lexicon_tsv([("dog", 2.3), ("cat", cell)]))
+
+    def test_overflowing_duplicates_rejected(self):
+        with pytest.raises(DataError, match="lexicon 'test' line 2: the values of 'dog' overflow"):
+            load_lexicon(cont_spec(), lexicon_tsv([("dog", "1e308"), ("dog", "1e308")]))
 
     def test_short_row_names_line(self):
         with pytest.raises(DataError, match="line 1"):
@@ -176,3 +188,26 @@ class TestLookupCoverage:
     def test_empty_vocab_rejected(self):
         with pytest.raises(ValueError):
             coverage(continuous_lexicon("a", {"a": 1.0}), set())
+
+
+#: Cells that reach the loader's column, term and value checks.
+LEXICON_TOKENS = [b"", b" ", b"cat", b"0", b"1", b"2.5", b"-3", b"0.5", b"nan", b"inf", b"-inf", b"1e308",
+                  b"x", b"\xff"]
+VALID_LEXICON = lexicon_tsv([("cat", 1), ("Dog", 0), ("cat", 1), ("newt", 0)])
+LEXICON_SPECS = [cont_spec(), bin_spec(), cont_spec(skip_rows=1, lowercase=False)]
+
+
+class TestLoadLexiconFuzz:
+    """load_lexicon either returns finite values (0/1 for a binary lexicon)
+    or raises DataError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tsv_inputs(VALID_LEXICON, LEXICON_TOKENS, 3), st.sampled_from(LEXICON_SPECS))
+    def test_arbitrary_and_mutated_bytes(self, data, spec):
+        try:
+            lex = load_lexicon(spec, data)
+        except DataError:
+            return
+        assert all(math.isfinite(v) for v in lex.entries.values())
+        if spec.kind == "binary":
+            assert set(lex.entries.values()) <= {0.0, 1.0}

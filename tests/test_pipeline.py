@@ -50,7 +50,7 @@ class TestFitAndEvaluate:
         assert result.report is not None
         assert result.report.n == len(split.dev)
         assert len(result.model.trees) == FOREST.n_trees
-        assert result.model.feature_names == result.schema.column_names()
+        assert result.model.feature_names == list(result.schema.columns)
         assert result.report.mae < 0.2
 
     def test_eval_on_train(self):
