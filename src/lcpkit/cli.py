@@ -43,6 +43,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -209,7 +210,9 @@ def load_run_config(path: str | None) -> RunConfig:
                     cfg.forest_seed_set |= key == "seed"
                 else:
                     setattr(cfg, target, value)
-        except ValueError as exc:  # a value LexiconSpec or ForestConfig refuses
+            if section == "features":  # the preset is checked where it is used, as --preset may replace it
+                replace(cfg, preset=None, enabled=cfg.enabled or frozenset(FEATURE_FAMILIES)).feature_config()
+        except ValueError as exc:  # a value LexiconSpec, ForestConfig or FeatureConfig refuses
             raise DataError(f"config section [{section}]: {exc}") from None
     return cfg
 
@@ -425,6 +428,8 @@ def _parse_predictions(data: bytes, path: str) -> dict[str, float]:
             raise DataError(
                 f"predictions file {path} line {line_no}: non-numeric prediction {parts[1]!r}"
             ) from None
+        if not math.isfinite(out[parts[0]]):
+            raise DataError(f"predictions file {path} line {line_no}: non-finite prediction {parts[1]!r}")
     return out
 
 

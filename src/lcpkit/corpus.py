@@ -78,8 +78,6 @@ class DatasetSplit:
 
     train: tuple[Instance, ...]
     dev: tuple[Instance, ...]
-    seed: int
-    dev_fraction: float
 
 
 def parse_dataset(source: IO[bytes] | bytes, has_gold: bool) -> list[Instance]:
@@ -171,6 +169,4 @@ def split_train_dev(
     return DatasetSplit(
         train=tuple(instances[i] for i in train_idx),
         dev=tuple(instances[i] for i in dev_idx),
-        seed=seed,
-        dev_fraction=dev_fraction,
     )

@@ -211,6 +211,9 @@ class FeatureSchema:
                 if f.init and f.name != "config"
             }
             cfg = FeatureConfig(**{f.name: doc["config"][f.name] for f in fields(FeatureConfig)})
+            for f in fields(cfg):  # JSON true, 2.5 and NaN load as bool and float
+                if f.type == "int" and type(getattr(cfg, f.name)) is not int:
+                    raise TypeError(f"config {f.name} must be an integer, got {getattr(cfg, f.name)!r}")
             return cls(config=cfg, **fitted)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"schema file: bad content: {exc}") from None

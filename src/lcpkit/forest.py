@@ -19,9 +19,9 @@ import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
-from functools import cached_property
-from typing import IO, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from itertools import repeat
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -70,71 +70,57 @@ class ForestConfig:
 
 
 class Tree:
-    """A regression tree as parallel arrays over pre-order node ids.
+    """Nodes of a regression tree as parallel arrays over pre-order node ids.
 
     ``feature[i] == -1`` marks node i as a leaf carrying ``value[i]``; internal
     nodes route rows with ``x[feature] <= threshold`` to ``left`` and the rest
-    to ``right``.
+    to ``right``, numbered within the tree. A forest keeps all its trees in
+    one such table, one after another.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
+    _DTYPES = (np.int32, np.float64, np.int32, np.int32, np.float64)
 
     def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.value = np.asarray(value, dtype=np.float64)
+        for name, dtype, column in zip(self.__slots__, self._DTYPES, (feature, threshold, left, right, value)):
+            setattr(self, name, np.asarray(column, dtype=dtype))
 
     @property
     def n_nodes(self) -> int:
         return int(self.feature.size)
 
+    def part(self, start: int, stop: int) -> Tree:
+        """Nodes ``start`` to ``stop - 1``, sharing this table's arrays."""
+        return Tree(*(getattr(self, name)[start:stop] for name in self.__slots__))
 
-class _Nodes(NamedTuple):
-    """Every node of a forest in one table, trees one after another, with
-    ``Tree``'s dtypes.
 
-    ``left`` and ``right`` hold table positions, ``roots`` the position of
-    each tree's root in tree order. Leaves have ``feature == -1``.
+class RandomForest:
+    """A fitted forest: all its nodes in one read-only table, ``nodes``.
+
+    Tree t fills the table from position ``roots[t]`` up to the next tree's
+    root.
     """
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    roots: np.ndarray
-
-
-def _flatten(trees: Sequence[Tree]) -> _Nodes:
-    sizes = [tree.n_nodes for tree in trees]
-    roots = np.cumsum([0, *sizes[:-1]], dtype=np.int32)
-    offset = np.repeat(roots, sizes)
-
-    def joined(name: str) -> np.ndarray:
-        return np.concatenate([getattr(tree, name) for tree in trees])
-
-    feature = joined("feature")
-    left, right = (np.where(feature >= 0, joined(side) + offset, -1) for side in ("left", "right"))
-    return _Nodes(feature, joined("threshold"), left, right, joined("value"), roots)
-
-
-@dataclass
-class RandomForest:
-    trees: list[Tree]
-    config: ForestConfig
-    feature_names: list[str]
-    schema_fingerprint: str = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, nodes: Tree, roots, config: ForestConfig, feature_names: Sequence[str]):
+        for name in Tree.__slots__:
+            getattr(nodes, name).flags.writeable = False
+        self.nodes = nodes
+        self.roots = np.asarray(roots, dtype=np.int32)
+        self.config = config
+        self.feature_names = list(feature_names)
         self.schema_fingerprint = columns_fingerprint(self.feature_names)
 
-    @cached_property
-    def nodes(self) -> _Nodes:
-        """All trees in one node table, built on the first prediction; the
-        trees must not change after that."""
-        return _flatten(self.trees)
+    @classmethod
+    def from_trees(cls, trees: Sequence[Tree], config: ForestConfig, feature_names: Sequence[str]) -> RandomForest:
+        """The forest of ``trees``, their nodes copied into one table in order."""
+        nodes = Tree(*(np.concatenate([getattr(tree, name) for tree in trees]) for name in Tree.__slots__))
+        return cls(nodes, np.cumsum([0, *(tree.n_nodes for tree in trees[:-1])]), config, feature_names)
+
+    @property
+    def trees(self) -> list[Tree]:
+        """Each tree as a view of the table."""
+        bounds = [*self.roots.tolist(), self.nodes.n_nodes]
+        return [self.nodes.part(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
     @property
     def n_features(self) -> int:
@@ -192,28 +178,18 @@ def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator) -> Tree:
     k = min(config.max_features_per_split, d)
     all_feats = np.arange(d)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    # Explicit stack; children pushed right-then-left so nodes are created in
-    # pre-order, which also fixes the rng consumption order.
-    stack = [(root_idx, 0, -1, False)]
+    # One row per node, in Tree's column order: feature, threshold, left,
+    # right, value. Explicit stack; children pushed right-then-left so nodes
+    # are created in pre-order, which also fixes the rng consumption order.
+    # An entry names the parent row and the column that links it to the node.
+    rows: list[list] = []
+    stack = [(root_idx, 0, None, 0)]
     while stack:
-        sample_idx, depth, parent, is_right = stack.pop()
-        node_id = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        if parent >= 0:
-            if is_right:
-                right[parent] = node_id
-            else:
-                left[parent] = node_id
+        sample_idx, depth, parent, column = stack.pop()
+        if parent is not None:
+            parent[column] = len(rows)
+        row = [-1, 0.0, -1, -1, 0.0]
+        rows.append(row)
 
         ysub = y[sample_idx]
         m = sample_idx.size
@@ -229,16 +205,13 @@ def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator) -> Tree:
             split = _best_split(X, y, sample_idx, feats, config.min_samples_leaf)
         if split is None:
             # constant targets keep their exact value; otherwise the mean
-            value[node_id] = ymin if ymin == ymax else float(ysub.mean())
+            row[4] = ymin if ymin == ymax else float(ysub.mean())
             continue
-        f, thr = split
-        feature[node_id] = f
-        threshold[node_id] = thr
-        mask = X[sample_idx, f] <= thr
-        stack.append((sample_idx[~mask], depth + 1, node_id, True))
-        stack.append((sample_idx[mask], depth + 1, node_id, False))
-
-    return Tree(feature, threshold, left, right, value)
+        row[0], row[1] = split
+        mask = X[sample_idx, row[0]] <= row[1]
+        stack.append((sample_idx[~mask], depth + 1, row, 3))
+        stack.append((sample_idx[mask], depth + 1, row, 2))
+    return Tree(*zip(*rows))
 
 
 def _check_matrix(X) -> np.ndarray:
@@ -289,27 +262,31 @@ def fit(
         n_threads = os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         trees = list(pool.map(build, range(config.n_trees)))
-    return RandomForest(trees=trees, config=config, feature_names=feature_names)
+    return RandomForest.from_trees(trees, config, feature_names)
 
 
-def _leaves(nodes: _Nodes, X: np.ndarray) -> np.ndarray:
-    """The leaf each (tree, row) pair reaches, shape (trees, rows).
+def _leaves(model: RandomForest, X: np.ndarray) -> np.ndarray:
+    """The table position of the leaf each (tree, row) pair reaches, shape
+    (trees, rows).
 
     All pairs descend together, one level per step; a pair that reaches a
     leaf leaves the active set.
     """
+    nodes = model.nodes
     rows, d = X.shape
     flat = X.ravel()
-    node = np.repeat(nodes.roots, rows)
-    row_start = np.tile(np.arange(rows, dtype=np.intp) * d, nodes.roots.size)
+    root = np.repeat(model.roots, rows)
+    node = root.copy()
+    row_start = np.tile(np.arange(rows, dtype=np.intp) * d, model.roots.size)
     active = np.flatnonzero(nodes.feature[node] >= 0)
     while active.size:
         cur = node[active]
         go_left = flat[row_start[active] + nodes.feature[cur]] <= nodes.threshold[cur]
         nxt = np.where(go_left, nodes.left[cur], nodes.right[cur])
+        nxt += root[active]  # children are numbered within their tree
         node[active] = nxt
         active = active[nodes.feature[nxt] >= 0]
-    return node.reshape(nodes.roots.size, rows)
+    return node.reshape(model.roots.size, rows)
 
 
 def predict_batch(model: RandomForest, X) -> np.ndarray:
@@ -322,13 +299,12 @@ def predict_batch(model: RandomForest, X) -> np.ndarray:
     X = _check_matrix(X)
     if X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
-    nodes = model.nodes
-    n_trees = nodes.roots.size
+    n_trees = model.roots.size
     block = max(1, _PAIRS_PER_BLOCK // n_trees)
     acc = np.zeros(X.shape[0], dtype=np.float64)
     for start in range(0, X.shape[0], block):
         out = acc[start : start + block]
-        for values in nodes.value[_leaves(nodes, X[start : start + block])]:
+        for values in model.nodes.value[_leaves(model, X[start : start + block])]:
             out += values
     return acc / n_trees
 
@@ -347,14 +323,9 @@ def save_model(model: RandomForest, sink: IO[bytes]) -> None:
         lines.append(f"{f.name}={value}")
     for i, tree in enumerate(model.trees):
         lines.append(f"[tree {i}]")
-        for node in range(tree.n_nodes):
-            if tree.feature[node] < 0:
-                lines.append(f"L {float(tree.value[node])!r}")
-            else:
-                lines.append(
-                    f"N {int(tree.feature[node])} {float(tree.threshold[node])!r}"
-                    f" {int(tree.left[node])} {int(tree.right[node])}"
-                )
+        columns = (getattr(tree, name).tolist() for name in Tree.__slots__)
+        for f, thr, left, right, value in zip(*columns):
+            lines.append(f"L {value!r}" if f < 0 else f"N {f} {thr!r} {left} {right}")
     sink.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -376,6 +347,51 @@ def _parse_config_lines(pairs: dict[str, str]) -> ForestConfig:
         raise DataError(f"model file: bad config value: {exc}") from None
 
 
+def _parse_tree(lines: list[str], i: int, first: int, d: int, out: Tree) -> None:
+    """Check the node lines of section ``[tree i]``, the first of them at file
+    line index ``first``, and write the tree into ``out``.
+
+    A node line is ``L value`` or ``N feature threshold left right``.
+    """
+    n = len(lines)
+    widths = np.fromiter(map(str.count, lines, repeat(" ")), np.intp, n) + 1
+    tokens = np.array(" ".join(lines).split(" "), dtype=object)
+    starts = np.cumsum(widths) - widths
+    leaf = (tokens[starts] == "L") & (widths == 2)
+    split = (tokens[starts] == "N") & (widths == 5)
+    bad = np.flatnonzero(~(leaf | split))
+    if bad.size:
+        raise DataError(f"model file line {first + bad[0] + 1}: bad node line {lines[bad[0]]!r}")
+    try:
+        feature, left, right = (np.fromiter(map(int, tokens[starts[split] + k]), np.int64) for k in (1, 3, 4))
+        threshold = np.fromiter(map(float, tokens[starts[split] + 2]), np.float64)
+        value = np.fromiter(map(float, tokens[starts[leaf] + 1]), np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"model file: [tree {i}] has a bad node line: {exc}") from None
+    ids = np.flatnonzero(split)
+    bad = np.flatnonzero((feature < 0) | (feature >= d))
+    if bad.size:
+        raise DataError(f"model file line {first + ids[bad[0]] + 1}: feature index {feature[bad[0]]} out of range")
+    for child in (left, right):
+        # pre-order: children always come after their parent
+        bad = np.flatnonzero((child <= ids) | (child >= n))
+        if bad.size:
+            raise DataError(f"model file: [tree {i}] node {ids[bad[0]]} has bad child index {child[bad[0]]}")
+    # fit only ever writes finite thresholds and leaf values
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        raise DataError(f"model file: [tree {i}] has a non-finite threshold or leaf value")
+    # With children after parents, one parent per non-root node makes every
+    # node reachable from the root exactly once.
+    parents = np.bincount(np.concatenate([left, right]), minlength=n)
+    bad = np.flatnonzero(parents[1:] != 1) + 1
+    if bad.size:
+        raise DataError(f"model file: [tree {i}] node {bad[0]} has {parents[bad[0]]} parents, expected 1")
+    out.feature[:] = out.left[:] = out.right[:] = -1
+    out.threshold[:] = out.value[:] = 0.0
+    out.feature[split], out.threshold[split], out.left[split], out.right[split] = feature, threshold, left, right
+    out.value[leaf] = value
+
+
 def load_model(source: IO[bytes] | bytes) -> RandomForest:
     """Parse a model stream produced by save_model. Raises DataError on any
     format violation (bad magic, version mismatch, truncation, bad indices)."""
@@ -389,90 +405,38 @@ def load_model(source: IO[bytes] | bytes) -> RandomForest:
         raise DataError(f"model file: unsupported format version {lines[0]!r}")
     if len(lines) < 2 or lines[1] != "[schema]":
         raise DataError("model file: missing [schema] section")
-
-    pos = 2
-    names: list[str] = []
-    while pos < len(lines) and lines[pos] != "[config]":
-        if lines[pos].startswith("[tree"):
-            raise DataError("model file: missing [config] section")
-        names.append(lines[pos])
-        pos += 1
-    if pos >= len(lines):
-        raise DataError("model file: truncated before [config]")
+    try:
+        at = lines.index("[config]", 2)
+    except ValueError:
+        raise DataError("model file: missing [config] section") from None
+    names = lines[2:at]
+    if any(name.startswith("[tree") for name in names):
+        raise DataError("model file: missing [config] section")
     if not names:
         raise DataError("model file: empty schema")
-    pos += 1
 
+    # Every line after [config] that starts with "[" opens a tree section.
+    bounds = [pos for pos, line in enumerate(lines[at + 1 :], at + 1) if line[:1] == "["] + [len(lines)]
     pairs: dict[str, str] = {}
-    while pos < len(lines) and not lines[pos].startswith("["):
-        key, sep, val = lines[pos].partition("=")
+    for line in lines[at + 1 : bounds[0]]:
+        key, sep, val = line.partition("=")
         if not sep:
-            raise DataError(f"model file: bad config line {lines[pos]!r}")
+            raise DataError(f"model file: bad config line {line!r}")
         pairs[key] = val
-        pos += 1
     config = _parse_config_lines(pairs)
+    heads = bounds[:-1]
+    for i, pos in enumerate(heads):
+        if i >= config.n_trees or lines[pos] != f"[tree {i}]":
+            raise DataError(f"model file line {pos + 1}: unexpected section {lines[pos]!r}")
+    if len(heads) < config.n_trees:
+        raise DataError(f"model file: truncated, expected [tree {len(heads)}]")
 
-    d = len(names)
-    trees: list[Tree] = []
-    for i in range(config.n_trees):
-        if pos >= len(lines) or lines[pos] != f"[tree {i}]":
-            raise DataError(f"model file: truncated, expected [tree {i}]")
-        pos += 1
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
-        while pos < len(lines) and not lines[pos].startswith("["):
-            parts = lines[pos].split(" ")
-            try:
-                if parts[0] == "L" and len(parts) == 2:
-                    feature.append(-1)
-                    threshold.append(0.0)
-                    left.append(-1)
-                    right.append(-1)
-                    value.append(float(parts[1]))
-                elif parts[0] == "N" and len(parts) == 5:
-                    f = int(parts[1])
-                    if not 0 <= f < d:
-                        raise DataError(
-                            f"model file line {pos + 1}: feature index {f} out of range"
-                        )
-                    feature.append(f)
-                    threshold.append(float(parts[2]))
-                    left.append(int(parts[3]))
-                    right.append(int(parts[4]))
-                    value.append(0.0)
-                else:
-                    raise ValueError
-            except ValueError:
-                raise DataError(f"model file line {pos + 1}: bad node line {lines[pos]!r}") from None
-            pos += 1
-        n_nodes = len(feature)
-        if n_nodes == 0:
-            raise DataError(f"model file: [tree {i}] has no nodes")
-        for node in range(n_nodes):
-            if feature[node] >= 0:
-                for child in (left[node], right[node]):
-                    # pre-order: children always come after their parent
-                    if not node < child < n_nodes:
-                        raise DataError(
-                            f"model file: [tree {i}] node {node} has bad child index {child}"
-                        )
-        tree = Tree(feature, threshold, left, right, value)
-        # fit only ever writes finite thresholds and leaf values
-        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
-            raise DataError(f"model file: [tree {i}] has a non-finite threshold or leaf value")
-        # With children after parents, one parent per non-root node makes
-        # every node reachable from the root exactly once.
-        internal = tree.feature >= 0
-        parents = np.bincount(np.concatenate([tree.left[internal], tree.right[internal]]), minlength=n_nodes)
-        bad = np.flatnonzero(parents[1:] != 1) + 1
-        if bad.size:
-            raise DataError(
-                f"model file: [tree {i}] node {bad[0]} has {parents[bad[0]]} parents, expected 1"
-            )
-        trees.append(tree)
-    if pos != len(lines):
-        raise DataError(f"model file: unexpected trailing content at line {pos + 1}")
-    return RandomForest(trees=trees, config=config, feature_names=names)
+    sizes = np.diff(bounds) - 1
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise DataError(f"model file: [tree {empty[0]}] has no nodes")
+    roots = np.cumsum(sizes) - sizes
+    nodes = Tree(*(np.empty(int(sizes.sum()), dtype) for dtype in Tree._DTYPES))
+    for i, (pos, root, size) in enumerate(zip(heads, roots.tolist(), sizes.tolist())):
+        _parse_tree(lines[pos + 1 : pos + 1 + size], i, pos + 1, len(names), nodes.part(root, root + size))
+    return RandomForest(nodes, roots, config, names)

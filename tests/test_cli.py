@@ -166,12 +166,20 @@ class TestTrain:
     @pytest.mark.parametrize("text,section", [
         ("[lexicon:x]\npath = x.tsv\nkind = weird\n", "[lexicon:x]"),
         ("[forest]\nn_trees = 0\n", "[forest]"),
+        ("[features]\ntrigram_min_count = 0\n", "[features]"),
+        ("[features]\nfrequency_source = nope\n", "[features]"),
     ])
     def test_config_value_error_is_data_error_naming_section(self, tmp_path, text, section):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         with pytest.raises(DataError, match=re.escape(f"config section {section}")):
             load_run_config(str(cfg))
+
+    def test_config_preset_is_checked_where_it_is_used(self, tmp_path):
+        # a --preset flag may replace a bad preset from the config file
+        cfg = tmp_path / "preset.ini"
+        cfg.write_text("[features]\npreset = nope\n")
+        assert load_run_config(str(cfg)).preset == "nope"
 
     def test_non_finite_lexicon_value_names_file_and_line(self, workspace, capsys):
         freq = workspace["tmp"] / "frequency.tsv"
@@ -322,6 +330,14 @@ class TestEvaluate:
         assert not report.exists()
         assert not (workspace["tmp"] / "report.md.manifest.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_prediction_names_file_and_line(self, workspace, value, capsys):
+        pred = workspace["tmp"] / "pred.tsv"
+        pred.write_text(f"id\tprediction\nt0000\t0.5\nt0001\t{value}\n")
+        code = run("evaluate", "--pred", pred, "--gold", workspace["train"])
+        assert code == 2
+        assert f"predictions file {pred} line 3: non-finite prediction" in capsys.readouterr().err
+
     def test_missing_ids_listed(self, workspace, capsys):
         pred = workspace["tmp"] / "pred.tsv"
         pred.write_text("id\tprediction\nt0000\t0.5\n")
@@ -406,7 +422,7 @@ class TestParsePredictionsFuzz:
             predictions = _parse_predictions(data, "pred.tsv")
         except DataError:
             return
-        assert all(isinstance(v, float) for v in predictions.values())
+        assert all(isinstance(v, float) and math.isfinite(v) for v in predictions.values())
 
 
 #: Words that reach the run config's section, key and value checks.

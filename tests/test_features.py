@@ -265,6 +265,16 @@ class TestFitSchema:
         with pytest.raises(DataError, match="schema file: bad content"):
             FeatureSchema.from_json(json.dumps(doc).encode("utf-8"))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("trigram_min_count", math.nan), ("trigram_max_vocab", 2.5), ("trigram_min_count", True)],
+    )
+    def test_non_integer_config_count_is_data_error(self, key, value):
+        doc = json.loads(sidecar_schema().to_json())
+        doc["config"][key] = value
+        with pytest.raises(DataError, match=f"schema file: bad content: config {key} must be an integer"):
+            FeatureSchema.from_json(json.dumps(doc).encode("utf-8"))
+
     @pytest.mark.parametrize("encoding", ["utf-16", "latin-1"])
     def test_non_utf8_sidecar_is_data_error(self, encoding):
         text = sidecar_schema().to_json().replace("cat", "caté")
@@ -487,6 +497,7 @@ class TestSchemaFromJsonFuzz:
             schema = FeatureSchema.from_json(data)
         except DataError:
             return
+        assert type(schema.config.trigram_min_count) is type(schema.config.trigram_max_vocab) is int
         probes = [inst("cat", "p1"), inst("zebra", "p2"), inst("ß", "p3")]
         registry = make_registry(prev=continuous_lexicon("prevalence", {"cat": 2.0}))
         try:

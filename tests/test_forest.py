@@ -83,7 +83,7 @@ class TestFit:
     def test_two_leaf_forest_averages(self):
         leaf_a = Tree([-1], [0.0], [-1], [-1], [0.2])
         leaf_b = Tree([-1], [0.0], [-1], [-1], [0.6])
-        model = RandomForest(trees=[leaf_a, leaf_b], config=ForestConfig(n_trees=2), feature_names=["f0"])
+        model = RandomForest.from_trees([leaf_a, leaf_b], ForestConfig(n_trees=2), ["f0"])
         assert predict_batch(model, [[0.0]])[0] == pytest.approx(0.4)
 
     def test_deterministic_across_runs_and_threads(self):
@@ -261,7 +261,7 @@ def random_trees(draw, n_features: int, max_depth: int = 4) -> Tree:
 def random_forests(draw) -> RandomForest:
     d = draw(st.integers(1, 3))
     trees = draw(st.lists(random_trees(d), min_size=1, max_size=5))
-    return RandomForest(trees=trees, config=ForestConfig(n_trees=len(trees)), feature_names=[f"f{i}" for i in range(d)])
+    return RandomForest.from_trees(trees, ForestConfig(n_trees=len(trees)), [f"f{i}" for i in range(d)])
 
 
 class TestFlatTraversal:
@@ -290,7 +290,7 @@ class TestFlatTraversal:
                  [0.0, *rng.random(2).tolist()])
             for _ in range(n_trees)
         ]
-        model = RandomForest(trees=trees, config=ForestConfig(n_trees=n_trees), feature_names=["a", "b", "c"])
+        model = RandomForest.from_trees(trees, ForestConfig(n_trees=n_trees), ["a", "b", "c"])
         block = forest_module._PAIRS_PER_BLOCK // n_trees
         X = rng.choice(GRID, size=(block + 1, 3))
         batch = predict_batch(model, X)
@@ -306,7 +306,7 @@ class TestClamp:
         rows = [Instance("i1", "bible", "a cat sat", "cat", 0.5)]
         schema = fit_schema(rows, LexiconRegistry(), FeatureConfig(enabled=frozenset({"length"})))
         leaf = Tree([-1], [0.0], [-1], [-1], [v])
-        model = RandomForest(trees=[leaf], config=ForestConfig(n_trees=1), feature_names=list(schema.columns))
+        model = RandomForest.from_trees([leaf], ForestConfig(n_trees=1), list(schema.columns))
         assert predict_batch(model, [[3.0]]).tolist() == [v]
         assert predict_scores(rows, schema, model, LexiconRegistry()).tolist() == [expected]
 
@@ -385,6 +385,64 @@ class TestPersistence:
                "[tree 0]\nN 0 0.5 2 2\nL 1.0\nL 2.0\n"
         with pytest.raises(DataError, match="parents"):
             load_model(text.encode())
+
+    @pytest.mark.parametrize("nodes,match", [
+        pytest.param("N 0 0.5 1 2 2\nL 0.0\nL 1.0\n", "bad node line", id="split-with-extra-token"),
+        pytest.param("N 0 0.5 1 2\nL 0.0 1.0\nL 1.0\n", "bad node line", id="leaf-with-extra-token"),
+        pytest.param("N -1 0.5 1 2\nL 0.0\nL 1.0\n", "out of range", id="split-on-feature-minus-1"),
+        pytest.param("N -1 0.5 -1 -1\n", "out of range", id="split-without-children"),
+        pytest.param("N 0 0.5 1 0\nL 1.0\nL 2.0\n", None, id="child-at-parent"),
+        pytest.param("N 0 0.5 1 2\nN 0 0.5 1 3\nL 1.0\nL 2.0\n", None, id="child-before-parent"),
+        pytest.param("N 0 0.5 1 2\nL 1.0\n", None, id="child-at-tree-size"),
+        pytest.param("N 0 0.5 1 3\nL 1.0\nL 2.0\n", None, id="child-past-tree"),
+        pytest.param("N 0 0.5 1 99999999999999999999\nL 1.0\nL 2.0\n", None, id="child-beyond-int64"),
+        pytest.param("N 0 0.5 1 2\nL 1.0\nL 2.0\nL 3.0\n", "parents", id="unreachable-node"),
+    ])
+    def test_bad_node_rejected(self, nodes, match):
+        with pytest.raises(DataError, match=match):
+            load_model(model_text(f"[tree 0]\n{nodes}"))
+
+    @pytest.mark.parametrize("trees,n_trees", [
+        pytest.param("[tree 0]\n", 1, id="empty-last-tree"),
+        pytest.param("[tree 0]\n[tree 1]\nL 0.5\n", 2, id="empty-first-tree"),
+        pytest.param("[tree 1]\nL 0.5\n[tree 0]\nL 0.5\n", 2, id="out-of-order"),
+        pytest.param("[tree 0]\nL 0.5\n[tree 2]\nL 0.5\n", 2, id="skipped-index"),
+        pytest.param("[tree 0]\nL 0.5\n[tree 1]\nL 0.5\n", 1, id="extra-tree"),
+        pytest.param("[tree 0]\nL 0.5\n", 2, id="missing-tree"),
+    ])
+    def test_bad_tree_sections_rejected(self, trees, n_trees):
+        assert load_model(model_text("[tree 0]\nL 0.5\n")).trees[0].value.tolist() == [0.5]
+        with pytest.raises(DataError):
+            load_model(model_text(trees, n_trees))
+
+    def test_tree_section_before_config_rejected(self):
+        with pytest.raises(DataError, match=r"missing \[config\]"):
+            load_model(model_text("[tree 0]\nL 0.5\n", schema="f0\n[tree 0]\nL 0.5"))
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_forest_rebuilt_from_its_tree_views_is_the_same(self, loaded):
+        rng = np.random.default_rng(13)
+        model = fit(rng.normal(size=(40, 3)), rng.random(40), ForestConfig(n_trees=4, seed=5))
+        if loaded:
+            model = self.roundtrip(model)
+        trees = model.trees
+        assert all(np.shares_memory(tree.left, model.nodes.left) for tree in trees)
+        assert not trees[0].value.flags.writeable
+        rebuilt = RandomForest.from_trees(trees, model.config, model.feature_names)
+        a, b = io.BytesIO(), io.BytesIO()
+        save_model(model, a)
+        save_model(rebuilt, b)
+        assert a.getvalue() == b.getvalue()
+        probes = rng.normal(size=(100, 3))
+        assert predict_batch(model, probes).tobytes() == predict_batch(rebuilt, probes).tobytes()
+
+
+def model_text(trees: str, n_trees: int = 1, schema: str = "f0") -> bytes:
+    """A model file with the given tree sections, by default over one feature."""
+    return (
+        f"LCPMODEL 1\n[schema]\n{schema}\n[config]\nn_trees={n_trees}\nmax_features_per_split=1\n"
+        f"min_samples_leaf=1\nmin_samples_split=2\nmax_depth=none\nbootstrap=true\nseed=0\n{trees}"
+    ).encode()
 
 
 @cache
