@@ -12,7 +12,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from .errors import DataError, decode_utf8
 
@@ -133,18 +133,6 @@ def parse_dataset(source: IO[bytes] | bytes, has_gold: bool) -> list[Instance]:
             logger.warning("id %r: token %r does not occur in its sentence", inst_id, token)
         instances.append(Instance(inst_id, subcorpus, sentence, token, gold))
     return instances
-
-
-def write_dataset(instances: Iterable[Instance], sink: IO[bytes], include_gold: bool = True) -> None:
-    """Serialize instances back to the TSV format accepted by parse_dataset."""
-    cols = _HEADER if include_gold else _HEADER[:4]
-    rows = ["\t".join(cols)]
-    for inst in instances:
-        row = [inst.id, inst.subcorpus, inst.sentence, inst.token]
-        if include_gold:
-            row.append("" if inst.gold is None else repr(inst.gold))
-        rows.append("\t".join(row))
-    sink.write(("\n".join(rows) + "\n").encode("utf-8"))
 
 
 def split_train_dev(

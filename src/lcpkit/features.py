@@ -232,9 +232,10 @@ def _values(doc, convert: Callable) -> dict:
 
 
 def _counts(doc) -> dict[str, int]:
-    counts = _values(doc, int)
-    if not all(0 <= c < 2**63 for c in counts.values()):
-        raise ValueError("counts must be non-negative 64-bit integers")
+    counts = _values(doc, lambda c: c)
+    # JSON true and 2.5 load as bool and float, which int() would truncate
+    if not all(type(c) is int and 0 <= c < 2**63 for c in counts.values()):
+        raise ValueError("counts must be JSON integers from 0 to 2**63 - 1")
     return counts
 
 

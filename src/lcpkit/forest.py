@@ -6,6 +6,12 @@ two children (equivalently, the weighted child target variance) is chosen
 over all midpoints between consecutive distinct sorted feature values. Ties
 are broken toward the lower feature index, then the lower threshold.
 
+The search is screened: features with few distinct values are scored at
+every boundary by one matrix product per node, and only those whose score
+comes within a rounding bound of the best go, with every many-valued
+feature, to the exhaustive search (``_best_split``). The result is the
+exhaustive search's, bit for bit (see ``_Screen.split``).
+
 Determinism: tree t draws from its own generator seeded with
 ``derive_seed(config.seed, t)``, so results are independent of whether trees
 are built sequentially or in parallel. Within a tree the generator is consumed
@@ -169,7 +175,203 @@ def _best_split(X, y, sample_idx, feats, min_samples_leaf):
     return int(feats[j]), thr
 
 
-def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator) -> Tree:
+#: Features with at most this many boundaries between distinct values are
+#: screened; features with more always go to the exact search.
+_SCREEN_MAX_BOUNDARIES = 16
+#: Cap on the boundary indicator matrix; past it, the features with the
+#: fewest boundaries are screened and the rest go to the exact search.
+_SCREEN_MAX_BYTES = 1 << 28
+#: Shortlisted binary features are grouped by how they cut the node only
+#: when verifying the whole shortlist would sort at least this many (row,
+#: feature) cells; below it, grouping costs more than the sorts it saves.
+_GROUP_MIN_CELLS = 1 << 12
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _gamma(k: int) -> float:
+    """Bound on the relative error of a float sum of k terms, in any order."""
+    return k * _U / (1.0 - k * _U)
+
+
+class _Screen:
+    """Per-fit data of the screened split search, shared by the fit threads.
+
+    ``ind[:, b]`` is 1.0 where ``X[:, feature[b]] <= value`` for boundary b,
+    one boundary below each distinct value but the largest of every screened
+    feature, in feature order. A node carries ``(act, sums, err)``: the
+    boundaries that cut it (a boundary that cuts no row off a node cuts none
+    off its children either), their left counts (exact) and left target
+    sums (each within ``err`` of its exact value), from one product
+    ``[1, y][rows].T @ ind[rows, act]``.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
+        self.X, self.y, self.min_samples_leaf = X, y, min_samples_leaf
+        n, d = X.shape
+        # rows with byte-identical features share a label; a node of one
+        # label has no feature to split on
+        rows = np.ascontiguousarray(X).view(np.dtype((np.void, d * X.itemsize))).ravel()
+        self.row_label = np.unique(rows, return_inverse=True)[1].ravel()
+        xs = X.T.copy()
+        xs.sort(axis=1)
+        new = xs[:, 1:] != xs[:, :-1]
+        width = new.sum(axis=1)  # boundaries per feature
+        cand = np.flatnonzero((width >= 1) & (width <= _SCREEN_MAX_BOUNDARIES))
+        by_width = cand[np.argsort(width[cand], kind="stable")]
+        cols = np.sort(by_width[np.cumsum(width[by_width]) * (8 * n) <= _SCREEN_MAX_BYTES])
+        # constant features never split, so they are neither screened nor exact
+        self.exact = np.setdiff1d(np.flatnonzero(width), cols)
+        self.binary = np.zeros(d, dtype=bool)
+        self.binary[cols[width[cols] == 1]] = True
+        self.first = np.zeros(d, dtype=np.intp)  # first boundary of each screened feature
+        self.first[cols] = np.cumsum(width[cols]) - width[cols]
+        self.feature, pos = np.nonzero(new[cols])
+        self.feature = cols[self.feature]
+        self.ind = X.take(self.feature, axis=1)
+        np.less_equal(self.ind, xs[self.feature, pos], out=self.ind)
+        self.ones_y = np.column_stack([np.ones(n), y])
+
+    def _sums(self, idx: np.ndarray, act: np.ndarray) -> np.ndarray:
+        """Left counts and target sums of boundaries ``act`` over rows ``idx``.
+
+        A large sample is summed over all rows, weighted by how often each
+        occurs, rather than gathered; either way each sum has at most
+        ``idx.size`` nonzero terms, each rounded at most once.
+        """
+        n = self.ind.shape[0]
+        if idx.size * 8 > n:
+            return (self.ind.T @ (self.ones_y * np.bincount(idx, minlength=n)[:, None])).T[:, act]
+        return self.ones_y[idx].T @ self.ind.take(idx, axis=0).take(act, axis=1)
+
+    @staticmethod
+    def _cutting(act, sums, m, err):
+        """The state of an m-row node: ``act`` and ``sums`` cut down to the
+        boundaries that cut it."""
+        live = (sums[0] > 0) & (sums[0] < m)
+        return act[live], sums[:, live], err
+
+    def root(self, idx: np.ndarray):
+        """The screen state of a root over rows ``idx``."""
+        act = np.arange(self.feature.size)
+        err = _gamma(idx.size + 1) * float(np.abs(self.y[idx]).sum())
+        return self._cutting(act, self._sums(idx, act), idx.size, err)
+
+    def children(self, node, left_idx: np.ndarray, right_idx: np.ndarray, total_abs: float):
+        """The screen states of a node's two children; ``total_abs`` is the
+        sum of |y| over the node. The smaller child's sums come from its
+        rows, the larger's are the node's minus the smaller's, and so carry
+        the errors of both."""
+        act, sums, err = node
+        rows = (left_idx, right_idx)
+        small = int(right_idx.size < left_idx.size)
+        small_sums = self._sums(rows[small], act)
+        small_err = _gamma(rows[small].size + 1) * total_abs
+        large_err = (err + small_err) * (1.0 + _U) + _U * total_abs
+        states = [None, None]
+        states[small] = self._cutting(act, small_sums, rows[small].size, small_err)
+        states[1 - small] = self._cutting(act, sums - small_sums, rows[1 - small].size, large_err)
+        return states
+
+    def split(self, idx, ysub, feats, node, spread):
+        """``_best_split(X, y, idx, feats, min_samples_leaf)``, computed by
+        running it on a shortlist of the features only.
+
+        ``node`` is the node's screen state and ``spread`` is
+        ``(sum y, max |y|, sum |y|)`` over the node.
+
+        The verify step is ``_best_split`` itself, and what it finds for a
+        feature depends only on that feature's column: per-column stable
+        sorts and sequential cumsums. So the result is the full search's
+        whenever the shortlist holds the full search's winner, the lowest
+        feature with the smallest computed SSE. The shortlist is every exact
+        feature, and every screened feature with a boundary whose screened
+        score comes within ``4 * E`` of the best (see ``_screen_bound``): no
+        feature left out can reach the winning SSE. Screened binary features
+        that cut the node the same way sort it the same way and score the
+        same, so only the lowest of each such group is verified. Where the
+        bound is not trusted, every sampled feature is verified.
+        """
+        X, y, min_samples_leaf = self.X, self.y, self.min_samples_leaf
+        m = idx.size
+        total, peak, total_abs = spread
+        labels = self.row_label[idx]
+        if labels.min() == labels.max():
+            return None
+        if not (m <= 1 << 30 and 2.0**-400 <= peak <= 2.0**400):
+            return _best_split(X, y, idx, feats, min_samples_leaf)
+        act, (count, left), err = node
+        right = total - left
+        n_right = m - count
+        score = left * left / count + right * right / n_right
+        if min_samples_leaf > 1:
+            score[(count < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
+        feature = self.feature[act]
+        exact = self.exact
+        if feats.size < X.shape[1]:
+            sampled = np.zeros(X.shape[1], dtype=bool)
+            sampled[feats] = True
+            exact = exact[sampled[exact]]
+            score[~sampled[feature]] = -np.inf
+        top = float(score.max(initial=-np.inf))
+        keep = np.zeros(0, dtype=np.intp)
+        if top > -np.inf:
+            floor = top - 4.0 * _screen_bound(m, peak, total_abs, float(ysub @ ysub), err)
+            keep = self._distinct_cuts(idx, np.unique(feature[score >= floor]))
+        verify = np.sort(np.concatenate([exact, keep]))
+        if not verify.size:
+            return None
+        return _best_split(X, y, idx, verify, min_samples_leaf)
+
+    def _distinct_cuts(self, idx, keep):
+        """``keep`` without each screened binary feature that cuts the rows
+        ``idx`` as a lower kept binary feature does."""
+        if keep.size * idx.size < _GROUP_MIN_CELLS:
+            return keep
+        binary = keep[self.binary[keep]]
+        if binary.size < 2:
+            return keep
+        cuts = np.ascontiguousarray(self.ind[np.ix_(idx, self.first[binary])].T)
+        _, first = np.unique(cuts.view(np.dtype((np.void, cuts.shape[1] * 8))).ravel(), return_index=True)
+        return np.sort(np.concatenate([keep[~self.binary[keep]], binary[first]]))
+
+
+def _screen_bound(m: int, peak: float, total_abs: float, sum_sq: float, err: float) -> float:
+    """E: a bound on how far the screen's and the verify step's SSE for one
+    partition of a node can both stray from its exact value, together.
+
+    Over the node's m targets, M = max |y|, A = sum |y|, Q = sum y*y and
+    P = M * A; u is the unit roundoff and g = _gamma(m). Any float sum of
+    the node's targets is within a = g * A of its exact value, and any sum
+    of squares within g * Q. Every term of either SSE formula is at most P
+    (|left sum| / n_left <= M, so left_sum**2 / n_left <= M * A), which
+    bounds each operation's rounding by u * P.
+
+    - The verify step computes ``c2 - c1**2/nl + ((t2 - c2) - (t1 - c1)**2/nr)``
+      from sequential cumsums c1, c2 and totals t1, t2. Carrying the sum
+      errors through each operation gives
+      ``3 g Q + 6 M a + a**2 + (2 a + u A)**2 + 10 u P``.
+    - The screen scores ``left**2/nl + (t1 - left)**2/nr``, which is the
+      node's exact sum of squares minus the SSE, from left sums within
+      ``err`` and t1 within a. With ``e = a + err + u (A + a + err)``, it is
+      off by at most ``err (2 M + err) + e (2 M + e) + 5 u P``.
+
+    These first-order bounds hold for targets of any sign and offset, and
+    for any ``min_samples_leaf``, which only removes boundaries from both
+    sides alike. The caller doubles E once more: the terms left out are
+    products of two errors, each at most m u <= 2**-23 of its first-order
+    term, and the doubling covers them and the rounding of this arithmetic.
+    With 2**-400 <= M <= 2**400 nothing overflows and underflow is far
+    below u * P.
+    """
+    a = _gamma(m) * total_abs
+    p = peak * total_abs
+    verify = 3.0 * _gamma(m) * sum_sq + 6.0 * peak * a + a * a + (2.0 * a + _U * total_abs) ** 2 + 10.0 * _U * p
+    e = a + err + _U * (total_abs + a + err)
+    screen = err * (2.0 * peak + err) + e * (2.0 * peak + e) + 5.0 * _U * p
+    return verify + screen
+
+
+def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator, screen: _Screen) -> Tree:
     n, d = X.shape
     if config.bootstrap:
         root_idx = rng.integers(0, n, size=n)
@@ -178,14 +380,18 @@ def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator) -> Tree:
     k = min(config.max_features_per_split, d)
     all_feats = np.arange(d)
 
+    def searched(m: int, depth: int) -> bool:
+        return m >= config.min_samples_split and (config.max_depth is None or depth < config.max_depth)
+
     # One row per node, in Tree's column order: feature, threshold, left,
     # right, value. Explicit stack; children pushed right-then-left so nodes
     # are created in pre-order, which also fixes the rng consumption order.
-    # An entry names the parent row and the column that links it to the node.
+    # An entry names the parent row and the column that links it to the
+    # node, and carries the node's screen state.
     rows: list[list] = []
-    stack = [(root_idx, 0, None, 0)]
+    stack = [(root_idx, 0, None, 0, screen.root(root_idx))]
     while stack:
-        sample_idx, depth, parent, column = stack.pop()
+        sample_idx, depth, parent, column, node = stack.pop()
         if parent is not None:
             parent[column] = len(rows)
         row = [-1, 0.0, -1, -1, 0.0]
@@ -196,21 +402,23 @@ def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator) -> Tree:
         ymin = float(ysub.min())
         ymax = float(ysub.max())
         split = None
-        if (
-            m >= config.min_samples_split
-            and (config.max_depth is None or depth < config.max_depth)
-            and ymin != ymax
-        ):
+        if searched(m, depth) and ymin != ymax:
             feats = all_feats if k >= d else np.sort(rng.choice(d, size=k, replace=False))
-            split = _best_split(X, y, sample_idx, feats, config.min_samples_leaf)
+            total = float(ysub.sum())
+            total_abs = total if ymin >= 0.0 else float(np.abs(ysub).sum())
+            split = screen.split(sample_idx, ysub, feats, node, (total, max(-ymin, ymax), total_abs))
         if split is None:
             # constant targets keep their exact value; otherwise the mean
             row[4] = ymin if ymin == ymax else float(ysub.mean())
             continue
         row[0], row[1] = split
         mask = X[sample_idx, row[0]] <= row[1]
-        stack.append((sample_idx[~mask], depth + 1, row, 3))
-        stack.append((sample_idx[mask], depth + 1, row, 2))
+        left_idx, right_idx = sample_idx[mask], sample_idx[~mask]
+        left_node = right_node = None
+        if searched(left_idx.size, depth + 1) or searched(right_idx.size, depth + 1):
+            left_node, right_node = screen.children(node, left_idx, right_idx, total_abs)
+        stack.append((right_idx, depth + 1, row, 3, right_node))
+        stack.append((left_idx, depth + 1, row, 2, left_node))
     return Tree(*zip(*rows))
 
 
@@ -254,9 +462,11 @@ def fit(
         if len(feature_names) != d:
             raise ValueError(f"expected {d} feature names, got {len(feature_names)}")
 
+    screen = _Screen(X, y, config.min_samples_leaf)
+
     def build(t: int) -> Tree:
         rng = np.random.default_rng(derive_seed(config.seed, t))
-        return _grow_tree(X, y, config, rng)
+        return _grow_tree(X, y, config, rng, screen)
 
     if n_threads == 0:
         n_threads = os.cpu_count() or 1

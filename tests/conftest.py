@@ -5,17 +5,24 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import random
 import string
 from typing import Sequence
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from lcpkit.corpus import Instance, parse_dataset
 from lcpkit.lexicons import Lexicon, LexiconRegistry
 
 SUBCORPORA = ("bible", "europarl", "biomed")
+
+# HYPOTHESIS_PROFILE=ci runs ten times Hypothesis's default number of
+# examples in every property test that does not set its own, among them the
+# screened split search's exactness test.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def dataset_tsv(rows, with_gold_column=True) -> bytes:

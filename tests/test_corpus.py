@@ -1,4 +1,3 @@
-import io
 import math
 
 import pytest
@@ -10,7 +9,6 @@ from lcpkit.corpus import (
     band_of,
     parse_dataset,
     split_train_dev,
-    write_dataset,
 )
 from lcpkit.errors import DataError
 
@@ -82,17 +80,13 @@ class TestParse:
         assert any("w1" in rec.getMessage() for rec in caplog.records)
 
     def test_round_trip(self, tiny_instances):
-        sink = io.BytesIO()
-        write_dataset(tiny_instances, sink)
-        again = parse_dataset(sink.getvalue(), has_gold=True)
-        assert again == tiny_instances
+        rows = [(i.id, i.subcorpus, i.sentence, i.token, repr(i.gold)) for i in tiny_instances]
+        assert parse_dataset(dataset_tsv(rows), has_gold=True) == tiny_instances
 
     @given(st.floats(min_value=0, max_value=1, allow_nan=False))
     def test_round_trip_gold_values(self, gold):
-        inst = Instance("g1", "bible", "the word tok here", "tok", gold)
-        sink = io.BytesIO()
-        write_dataset([inst], sink)
-        assert parse_dataset(sink.getvalue(), has_gold=True)[0].gold == gold
+        data = dataset_tsv([("g1", "bible", "the word tok here", "tok", repr(gold))])
+        assert parse_dataset(data, has_gold=True)[0].gold == gold
 
 
 class TestBands:

@@ -265,6 +265,14 @@ class TestFitSchema:
         with pytest.raises(DataError, match="schema file: bad content"):
             FeatureSchema.from_json(json.dumps(doc).encode("utf-8"))
 
+    @pytest.mark.parametrize("field,key,value", [("trigram_counts", "^ca", 2.5), ("internal_frequency", "cat", True)])
+    def test_non_integer_sidecar_count_is_data_error(self, field, key, value):
+        doc = json.loads(sidecar_schema().to_json())
+        assert type(doc[field][key]) is int
+        doc[field][key] = value
+        with pytest.raises(DataError, match="schema file: bad content: counts must be JSON integers"):
+            FeatureSchema.from_json(json.dumps(doc).encode("utf-8"))
+
     @pytest.mark.parametrize(
         "key,value",
         [("trigram_min_count", math.nan), ("trigram_max_vocab", 2.5), ("trigram_min_count", True)],

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import random
@@ -181,6 +182,124 @@ class TestSplitOptimality:
         doubled = fit(np.column_stack([X, X[:, 0]]), y, single_tree_config()).trees[0]
         assert doubled.feature[0] == base.feature[0]
         assert doubled.threshold[0] == base.threshold[0]
+
+
+def full_search(screen, idx, ysub, feats, *node):
+    """The plain exhaustive search over every sampled feature, in place of
+    ``_Screen.split``."""
+    return forest_module._best_split(screen.X, screen.y, idx, feats, screen.min_samples_leaf)
+
+
+@st.composite
+def split_problems(draw):
+    """Rows of a few "tokens" that share their binary and few-valued columns,
+    like n-gram indicators, so that columns often cut a node alike; plus
+    many-valued, duplicated and constant columns. Targets follow the token
+    on a 1/40 grid (near-ties), around 1e6 (large offset) or with both signs
+    over several magnitudes."""
+    n = draw(st.integers(2, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_tokens = draw(st.integers(2, 8))
+    token = rng.integers(0, n_tokens, size=n)
+    kinds = draw(st.lists(st.sampled_from(["binary", "few", "many", "duplicate", "constant"]), min_size=1, max_size=12))
+    columns = []
+    for kind in kinds:
+        if kind == "binary":
+            low, high = sorted(rng.choice([-2.5, 0.0, 1.0, 3.0], size=2, replace=False))
+            column = np.where(rng.random(n_tokens)[token] < 0.4, high, low)
+        elif kind == "few":
+            column = rng.integers(0, rng.integers(3, 9), size=n_tokens)[token] * 0.5
+        elif kind == "many":
+            column = np.round(rng.normal(size=n), 2)
+        elif kind == "duplicate" and columns:
+            column = columns[rng.integers(len(columns))].copy()
+        else:
+            column = np.full(n, 2.0)
+        columns.append(column)
+    grid = np.round(np.clip(rng.random(n_tokens)[token] + rng.normal(0, 0.1, size=n), 0, 1) * 40) / 40
+    target = draw(st.sampled_from(["grid", "offset", "signed"]))
+    if target == "grid":
+        y = grid
+    elif target == "offset":
+        y = 1e6 + grid + rng.normal(0, 1e-9, size=n)
+    else:
+        y = (grid - 0.5) * 10.0 ** rng.uniform(-3, 3)
+    config = ForestConfig(
+        n_trees=draw(st.integers(1, 2)),
+        max_features_per_split=draw(st.integers(1, len(columns) + 1)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+        bootstrap=draw(st.booleans()),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return np.column_stack(columns), y, config
+
+
+def golden_data():
+    """240 rows: ten binary columns, few- and many-valued columns, a
+    duplicated and a constant column; targets on a 1/40 grid."""
+    rng = np.random.default_rng(20261018)
+    n = 240
+    binary = (rng.random((n, 10)) < rng.uniform(0.05, 0.5, 10)).astype(float)
+    low = rng.integers(0, 5, size=(n, 3)).astype(float)
+    high = np.round(rng.normal(size=(n, 2)), 3)
+    X = np.column_stack([binary, low[:, :1], binary[:, 2], high, np.full(n, 4.0), low[:, 1:]])
+    raw = 0.3 + 0.2 * binary[:, 0] - 0.1 * low[:, 0] / 4 + 0.05 * high[:, 0] + rng.normal(0, 0.1, n)
+    return X, np.round(np.clip(raw, 0, 1) * 40) / 40
+
+
+class TestScreenedSearch:
+    """The screened search grows the trees the exhaustive search grows, bit for bit."""
+
+    @settings(deadline=None)
+    @given(split_problems(), st.booleans(), st.one_of(st.none(), st.integers(0, 8)))
+    def test_same_trees_as_the_full_search(self, problem, group_every_shortlist, screened_boundaries):
+        X, y, config = problem
+        cells = 0 if group_every_shortlist else forest_module._GROUP_MIN_CELLS
+        # a cap on the indicator matrix leaves the features past it to the exact search
+        cap = forest_module._SCREEN_MAX_BYTES if screened_boundaries is None else 8 * len(y) * screened_boundaries
+        with mock.patch.multiple(forest_module, _GROUP_MIN_CELLS=cells, _SCREEN_MAX_BYTES=cap):
+            screened = fit(X, y, config)
+        with mock.patch.object(forest_module._Screen, "split", full_search):
+            full = fit(X, y, config)
+        assert np.array_equal(screened.roots, full.roots)
+        for name in Tree.__slots__:
+            assert getattr(screened.nodes, name).tobytes() == getattr(full.nodes, name).tobytes(), name
+
+    def test_same_trees_on_thousands_of_rows(self):
+        # large nodes, whose sums come from weighted passes over every row
+        # and from parent-minus-sibling subtraction many levels deep
+        rng = np.random.default_rng(5)
+        n = 3000
+        X = np.column_stack(
+            [rng.random((n, 40)) < 0.1, rng.integers(0, 6, size=(n, 5)), np.round(rng.normal(size=(n, 3)), 3)]
+        ).astype(float)
+        y = np.clip(0.2 * X[:, 0] + 0.1 * X[:, 41] / 5 + rng.normal(0, 0.2, n), 0, 1)
+        config = ForestConfig(n_trees=2, seed=3)
+        screened = fit(X, y, config)
+        with mock.patch.object(forest_module._Screen, "split", full_search):
+            full = fit(X, y, config)
+        assert model_sha256(screened) == model_sha256(full)
+
+    @pytest.mark.parametrize(
+        "config,sha",
+        [
+            (
+                ForestConfig(n_trees=3, max_features_per_split=12, min_samples_leaf=2, seed=5),
+                "213efdeb434f8d079ba55e3e76a0c56a1688e62bcd1a27ed44c2a4ace8b2b4bc",
+            ),
+            (ForestConfig(n_trees=3, seed=5), "2a3ec737acea0405c2b54db5c506e10181b7a137e630f6fa0ae80b34baa1c177"),
+        ],
+    )
+    def test_golden_model_bytes(self, config, sha):
+        # the hashes are those of the exhaustive search before screening
+        X, y = golden_data()
+        assert model_sha256(fit(X, y, config)) == sha
+
+
+def model_sha256(model: RandomForest) -> str:
+    sink = io.BytesIO()
+    save_model(model, sink)
+    return hashlib.sha256(sink.getvalue()).hexdigest()
 
 
 class TestPredict:
