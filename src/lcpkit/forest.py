@@ -37,9 +37,15 @@ _MAGIC = "LCPMODEL"
 _VERSION = 1
 _SEED_MULTIPLIER = 1_000_003
 _SEED_MASK = (1 << 64) - 1
-#: (tree, row) pairs walked at once: rows are scored in blocks of
-#: ``_PAIRS_PER_BLOCK // n_trees`` so the traversal arrays stay bounded.
-_PAIRS_PER_BLOCK = 1 << 18
+#: (tree, row) pairs walked together: r distinct rows walk
+#: ``max(1, _PAIRS_PER_GROUP // r)`` trees at a time, so a large batch walks
+#: one tree's slice of the node table (about 100 KB) at a time and a single
+#: row walks every tree at once.
+_PAIRS_PER_GROUP = 1 << 13
+#: Levels walked between two checks for pairs that have reached a leaf.
+_LEVELS_PER_CHECK = 8
+#: Rows compared at once when checking that rows grouped together are equal.
+_CHECK_ROWS = 1 << 8
 
 
 def derive_seed(seed: int, tree_index: int) -> int:
@@ -82,14 +88,38 @@ class Tree:
     nodes route rows with ``x[feature] <= threshold`` to ``left`` and the rest
     to ``right``, numbered within the tree. A forest keeps all its trees in
     one such table, one after another.
+
+    In memory both children of node i are ``child[i] = (left, right)``, and a
+    leaf has threshold +inf and itself as both children. So for any node,
+    ``child[i, x[feature[i]] > threshold[i]]`` is the next node, and a walk
+    that has reached a leaf stays there.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-    _DTYPES = (np.int32, np.float64, np.int32, np.int32, np.float64)
+    __slots__ = ("feature", "threshold", "child", "value")
 
     def __init__(self, feature, threshold, left, right, value):
-        for name, dtype, column in zip(self.__slots__, self._DTYPES, (feature, threshold, left, right, value)):
-            setattr(self, name, np.asarray(column, dtype=dtype))
+        """The tree of the given columns; leaves' threshold, left and right are ignored."""
+        self.feature = np.asarray(feature, dtype=np.int32)
+        leaf = self.feature < 0
+        self.threshold = np.where(leaf, np.inf, np.asarray(threshold, dtype=np.float64))
+        self.child = np.column_stack([left, right]).astype(np.int32)
+        self.child[leaf] = np.flatnonzero(leaf)[:, None]
+        self.value = np.asarray(value, dtype=np.float64)
+
+    @classmethod
+    def of_table(cls, feature, threshold, child, value) -> Tree:
+        """The tree whose arrays are the given ones, already in the in-memory form."""
+        tree = cls.__new__(cls)
+        tree.feature, tree.threshold, tree.child, tree.value = feature, threshold, child, value
+        return tree
+
+    @property
+    def left(self) -> np.ndarray:
+        return self.child[:, 0]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.child[:, 1]
 
     @property
     def n_nodes(self) -> int:
@@ -97,7 +127,7 @@ class Tree:
 
     def part(self, start: int, stop: int) -> Tree:
         """Nodes ``start`` to ``stop - 1``, sharing this table's arrays."""
-        return Tree(*(getattr(self, name)[start:stop] for name in self.__slots__))
+        return Tree.of_table(*(getattr(self, name)[start:stop] for name in self.__slots__))
 
 
 class RandomForest:
@@ -119,7 +149,7 @@ class RandomForest:
     @classmethod
     def from_trees(cls, trees: Sequence[Tree], config: ForestConfig, feature_names: Sequence[str]) -> RandomForest:
         """The forest of ``trees``, their nodes copied into one table in order."""
-        nodes = Tree(*(np.concatenate([getattr(tree, name) for tree in trees]) for name in Tree.__slots__))
+        nodes = Tree.of_table(*(np.concatenate([getattr(tree, name) for tree in trees]) for name in Tree.__slots__))
         return cls(nodes, np.cumsum([0, *(tree.n_nodes for tree in trees[:-1])]), config, feature_names)
 
     @property
@@ -475,48 +505,100 @@ def fit(
     return RandomForest.from_trees(trees, config, feature_names)
 
 
-def _leaves(model: RandomForest, X: np.ndarray) -> np.ndarray:
+def _leaves(nodes: Tree, roots: np.ndarray, end: int, offsets: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """The table position of the leaf each (tree, row) pair reaches, shape
-    (trees, rows).
+    (trees, rows), for the consecutive trees at ``roots``, the last of which
+    ends before table position ``end``.
 
-    All pairs descend together, one level per step; a pair that reaches a
-    leaf leaves the active set.
+    Row r starts at ``flat[offsets[r]]``. All pairs descend together; as
+    leaves step to themselves, the pairs that have reached one are dropped
+    only every ``_LEVELS_PER_CHECK`` levels.
     """
-    nodes = model.nodes
-    rows, d = X.shape
-    flat = X.ravel()
-    root = np.repeat(model.roots, rows)
-    node = root.copy()
-    row_start = np.tile(np.arange(rows, dtype=np.intp) * d, model.roots.size)
-    active = np.flatnonzero(nodes.feature[node] >= 0)
-    while active.size:
-        cur = node[active]
-        go_left = flat[row_start[active] + nodes.feature[cur]] <= nodes.threshold[cur]
-        nxt = np.where(go_left, nodes.left[cur], nodes.right[cur])
-        nxt += root[active]  # children are numbered within their tree
-        node[active] = nxt
-        active = active[nodes.feature[nxt] >= 0]
-    return node.reshape(model.roots.size, rows)
+    lo = int(roots[0])
+    feature, threshold, child = nodes.feature[lo:end], nodes.threshold[lo:end], nodes.child[lo:end].ravel()
+    n_trees, n_rows = roots.size, offsets.size
+    root = np.repeat((roots - lo).astype(np.intp), n_rows)  # within the group
+    node, offset, pair = root.copy(), np.tile(offsets, n_trees), np.arange(root.size)
+    leaf = root.copy()
+    index, at, x, thr, right = (
+        np.empty(root.size, dtype) for dtype in (np.int32, np.intp, np.float64, np.float64, bool)
+    )
+    while True:
+        live = feature[node] >= 0
+        if not live.all():
+            leaf[pair] = node
+            pair, node, offset, root = pair[live], node[live], offset[live], root[live]
+        if not pair.size:
+            return (leaf + lo).reshape(n_trees, n_rows)
+        m = pair.size
+        i, a, xv, tv, rv = index[:m], at[:m], x[:m], thr[:m], right[:m]
+        # Indices are always in range; mode="wrap" only spares take the copy
+        # of ``out`` that mode="raise" makes. A leaf's -1 feature reads some
+        # finite cell, which is never above its +inf threshold.
+        for _ in range(_LEVELS_PER_CHECK):
+            np.take(feature, node, out=i, mode="wrap")
+            np.add(i, offset, out=a)
+            np.take(flat, a, out=xv, mode="wrap")
+            np.take(threshold, node, out=tv, mode="wrap")
+            np.greater(xv, tv, out=rv)
+            np.add(node, node, out=a)
+            np.add(a, rv, out=a)
+            np.take(child, a, out=i, mode="wrap")
+            np.add(i, root, out=node)  # children are numbered within their tree
+
+
+def _fingerprints(X: np.ndarray) -> np.ndarray:
+    """One number per row of ``X``, equal for byte-equal rows: a fixed random
+    projection."""
+    return X @ np.random.default_rng(0).random(X.shape[1])
+
+
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``X`` to walk, and for each row of ``X`` the position in
+    them of a row with the same bytes.
+
+    Rows with equal fingerprints are grouped, and each row is compared byte
+    for byte with the first row of its group. A row that differs from it,
+    after a fingerprint collision, is walked itself; otherwise byte-equal
+    rows share one walk.
+    """
+    n = X.shape[0]
+    if n < 2:
+        return np.arange(n), np.arange(n)
+    _, first, inverse = np.unique(_fingerprints(X), return_index=True, return_inverse=True)
+    rep = first[inverse]
+    bits = X.view(np.uint64)
+    grouped = np.flatnonzero(rep != np.arange(n))
+    for start in range(0, grouped.size, _CHECK_ROWS):
+        rows = grouped[start : start + _CHECK_ROWS]
+        differ = rows[(bits[rows] != bits[rep[rows]]).any(axis=1)]
+        rep[differ] = differ
+    return np.unique(rep, return_inverse=True)
 
 
 def predict_batch(model: RandomForest, X) -> np.ndarray:
     """Mean of the individual tree outputs for each row of a 2-D ``X``. Raw,
     unclamped. A single row is scored as a one-row ``X``.
 
-    Leaf values are summed in tree order, so a row's result does not depend
-    on the rows scored with it.
+    Byte-equal rows are scored once. Leaf values are summed in tree order,
+    so a row's result does not depend on the rows scored with it.
     """
     X = _check_matrix(X)
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
+    d = X.shape[1]
+    if d != model.n_features:
+        raise ValueError(f"expected {model.n_features} features, got {d}")
+    walked, where = _distinct_rows(X)
     n_trees = model.roots.size
-    block = max(1, _PAIRS_PER_BLOCK // n_trees)
-    acc = np.zeros(X.shape[0], dtype=np.float64)
-    for start in range(0, X.shape[0], block):
-        out = acc[start : start + block]
-        for values in model.nodes.value[_leaves(model, X[start : start + block])]:
-            out += values
-    return acc / n_trees
+    group = max(1, _PAIRS_PER_GROUP // max(1, walked.size))
+    ends = [*model.roots[1:].tolist(), model.nodes.n_nodes]
+    flat = X.ravel()
+    acc = np.zeros((1, walked.size), dtype=np.float64)
+    for start in range(0, n_trees, group):
+        roots = model.roots[start : start + group]
+        leaves = _leaves(model.nodes, roots, ends[start + roots.size - 1], walked * d, flat)
+        # accumulate adds row after row: the additions of a loop over the trees
+        acc = np.add.accumulate(np.vstack([acc, model.nodes.value[leaves]]), axis=0)[-1:]
+    return (acc[0] / n_trees)[where]
 
 
 def save_model(model: RandomForest, sink: IO[bytes]) -> None:
@@ -533,7 +615,7 @@ def save_model(model: RandomForest, sink: IO[bytes]) -> None:
         lines.append(f"{f.name}={value}")
     for i, tree in enumerate(model.trees):
         lines.append(f"[tree {i}]")
-        columns = (getattr(tree, name).tolist() for name in Tree.__slots__)
+        columns = (getattr(tree, name).tolist() for name in ("feature", "threshold", "left", "right", "value"))
         for f, thr, left, right, value in zip(*columns):
             lines.append(f"L {value!r}" if f < 0 else f"N {f} {thr!r} {left} {right}")
     sink.write(("\n".join(lines) + "\n").encode("utf-8"))
@@ -596,8 +678,16 @@ def _parse_tree(lines: list[str], i: int, first: int, d: int, out: Tree) -> None
     bad = np.flatnonzero(parents[1:] != 1) + 1
     if bad.size:
         raise DataError(f"model file: [tree {i}] node {bad[0]} has {parents[bad[0]]} parents, expected 1")
-    out.feature[:] = out.left[:] = out.right[:] = -1
-    out.threshold[:] = out.value[:] = 0.0
+    bad = np.flatnonzero(left != ids + 1)
+    if bad.size:
+        raise DataError(
+            f"model file: [tree {i}] node {ids[bad[0]]} has left child {left[bad[0]]}, not the next node;"
+            " nodes must be in pre-order"
+        )
+    out.feature[:] = -1
+    out.threshold[:] = np.inf
+    out.child[:] = np.arange(n)[:, None]
+    out.value[:] = 0.0
     out.feature[split], out.threshold[split], out.left[split], out.right[split] = feature, threshold, left, right
     out.value[leaf] = value
 
@@ -646,7 +736,8 @@ def load_model(source: IO[bytes] | bytes) -> RandomForest:
     if empty.size:
         raise DataError(f"model file: [tree {empty[0]}] has no nodes")
     roots = np.cumsum(sizes) - sizes
-    nodes = Tree(*(np.empty(int(sizes.sum()), dtype) for dtype in Tree._DTYPES))
+    total = int(sizes.sum())
+    nodes = Tree.of_table(np.empty(total, np.int32), np.empty(total), np.empty((total, 2), np.int32), np.empty(total))
     for i, (pos, root, size) in enumerate(zip(heads, roots.tolist(), sizes.tolist())):
         _parse_tree(lines[pos + 1 : pos + 1 + size], i, pos + 1, len(names), nodes.part(root, root + size))
     return RandomForest(nodes, roots, config, names)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import math
@@ -383,38 +384,95 @@ def random_forests(draw) -> RandomForest:
     return RandomForest.from_trees(trees, ForestConfig(n_trees=len(trees)), [f"f{i}" for i in range(d)])
 
 
+@st.composite
+def distinct_rows(draw, n_rows: int, n_features: int) -> np.ndarray:
+    rows = draw(st.lists(st.tuples(*[grid_or_float] * n_features), min_size=n_rows, max_size=n_rows, unique=True))
+    return np.array(rows, dtype=np.float64).reshape(n_rows, n_features)
+
+
+def stumps(rng, n_trees: int) -> RandomForest:
+    trees = [
+        Tree([int(rng.integers(3)), -1, -1], [float(rng.choice(GRID)), 0, 0], [1, -1, -1], [2, -1, -1],
+             [0.0, *rng.random(2).tolist()])
+        for _ in range(n_trees)
+    ]
+    return RandomForest.from_trees(trees, ForestConfig(n_trees=n_trees), ["a", "b", "c"])
+
+
 class TestFlatTraversal:
+    """r distinct rows walk ``max(1, _PAIRS_PER_GROUP // r)`` trees at a time."""
+
     PAIRS = 12
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_matches_a_per_tree_walk_across_row_blocks(self, data):
+    def test_matches_a_per_tree_walk_across_tree_groups(self, data):
         model = data.draw(random_forests())
-        block = self.PAIRS // len(model.trees)
-        # row counts on both sides of one and two block boundaries
-        rows = max(1, block * data.draw(st.integers(1, 2)) + data.draw(st.integers(-1, 1)))
-        cells = data.draw(st.lists(grid_or_float, min_size=rows * model.n_features, max_size=rows * model.n_features))
-        X = np.array(cells, dtype=np.float64).reshape(rows, model.n_features)
-        with mock.patch.object(forest_module, "_PAIRS_PER_BLOCK", self.PAIRS):
+        n_trees = len(model.trees)
+        # row counts on both sides of where the trees split into one, two or
+        # three groups, and of where every group holds a single tree
+        groups = data.draw(st.sampled_from([1, 2, 3, n_trees]))
+        rows = max(1, self.PAIRS // -(-n_trees // groups) + data.draw(st.integers(-1, 1)))
+        X = data.draw(distinct_rows(rows, model.n_features))
+        with mock.patch.object(forest_module, "_PAIRS_PER_GROUP", self.PAIRS):
             batch = predict_batch(model, X)
             single = predict_batch(model, X[-1:])
         assert batch.tobytes() == reference_predict(model, X).tobytes()
         assert single.tobytes() == batch[-1:].tobytes()
 
-    def test_real_block_size_boundary(self):
+    def test_real_group_size_boundaries(self):
         rng = np.random.default_rng(21)
-        n_trees = 2048
-        trees = [
-            Tree([int(rng.integers(3)), -1, -1], [float(rng.choice(GRID)), 0, 0], [1, -1, -1], [2, -1, -1],
-                 [0.0, *rng.random(2).tolist()])
-            for _ in range(n_trees)
-        ]
-        model = RandomForest.from_trees(trees, ForestConfig(n_trees=n_trees), ["a", "b", "c"])
-        block = forest_module._PAIRS_PER_BLOCK // n_trees
-        X = rng.choice(GRID, size=(block + 1, 3))
-        batch = predict_batch(model, X)
+        half = forest_module._PAIRS_PER_GROUP // 2
+        # 2048 trees in one group, then in two, then in three; 3 trees two
+        # to a group, then one
+        for n_trees, rows in ((2048, 4), (2048, 5), (2048, 8), (2048, 9), (3, half), (3, half + 1)):
+            model = stumps(rng, n_trees)
+            # distinct rows, most of them on a threshold in the first two columns
+            X = np.column_stack([rng.choice(GRID, size=(rows, 2)), rng.permutation(rows) / rows])
+            batch = predict_batch(model, X)
+            assert batch.tobytes() == reference_predict(model, X).tobytes()
+            assert predict_batch(model, X[-1:]).tobytes() == batch[-1:].tobytes()
+
+
+@st.composite
+def repeated_rows(draw, n_features: int) -> np.ndarray:
+    """A shuffled batch of repeats of a few distinct rows, among them rows
+    that differ from another only in the sign of a zero or in one column."""
+    pool = draw(st.lists(st.lists(grid_or_float, min_size=n_features, max_size=n_features), min_size=1, max_size=3))
+    row, j = pool[0], draw(st.integers(0, n_features - 1))
+    signed = [row[:j] + [zero] + row[j + 1 :] for zero in (0.0, -0.0)]
+    changed = row[:j] + [draw(grid_or_float.filter(lambda v: v != row[j]))] + row[j + 1 :]
+    pool += [*signed, changed]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return np.array([pool[k] for k in picks], dtype=np.float64).reshape(len(picks), n_features)
+
+
+class TestRepeatedRows:
+    """Byte-equal rows are scored once, and every row still scores exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), collide=st.booleans())
+    def test_batch_of_repeats_matches_a_per_tree_walk(self, data, collide):
+        model = data.draw(random_forests())
+        X = data.draw(repeated_rows(model.n_features))
+        # a constant fingerprint groups every row with the first
+        constant = mock.patch.object(forest_module, "_fingerprints", lambda X: np.zeros(X.shape[0]))
+        with constant if collide else contextlib.nullcontext():
+            walked, where = forest_module._distinct_rows(X)
+            batch = predict_batch(model, X)
+            alone = [predict_batch(model, X[i : i + 1]) for i in range(len(X))]
+            fortran = predict_batch(model, np.asfortranarray(X))
+        # rows stand for each other only when their bytes are equal: 0.0 and -0.0 never merge
+        assert all(X[i].tobytes() == X[r].tobytes() for i, r in enumerate(walked[where].tolist()))
         assert batch.tobytes() == reference_predict(model, X).tobytes()
-        assert predict_batch(model, X[block:]).tobytes() == batch[block:].tobytes()
+        assert b"".join(a.tobytes() for a in alone) == batch.tobytes()
+        assert fortran.tobytes() == batch.tobytes()
+
+    def test_equal_rows_are_walked_once(self):
+        X = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, -0.0], [2.0, 0.0]])
+        walked, where = forest_module._distinct_rows(X)
+        assert walked.tolist() == [0, 1, 3]
+        assert where.tolist() == [0, 1, 0, 2, 1]
 
 
 class TestClamp:
@@ -516,6 +574,7 @@ class TestPersistence:
         pytest.param("N 0 0.5 1 3\nL 1.0\nL 2.0\n", None, id="child-past-tree"),
         pytest.param("N 0 0.5 1 99999999999999999999\nL 1.0\nL 2.0\n", None, id="child-beyond-int64"),
         pytest.param("N 0 0.5 1 2\nL 1.0\nL 2.0\nL 3.0\n", "parents", id="unreachable-node"),
+        pytest.param("N 0 0.5 2 1\nL 0.1\nL 0.2\n", r"\[tree 0\] node 0 .*pre-order", id="not-pre-order"),
     ])
     def test_bad_node_rejected(self, nodes, match):
         with pytest.raises(DataError, match=match):
