@@ -128,7 +128,7 @@ def parse_dataset(source: IO[bytes] | bytes, has_gold: bool) -> list[Instance]:
                     f"line {line_no}: id {inst_id!r} has non-numeric complexity {gold_cell!r}"
                 ) from None
             if not math.isfinite(gold) or gold < 0.0 or gold > 1.0:
-                raise DataError(f"id {inst_id!r}: complexity {gold_cell} outside [0, 1]")
+                raise DataError(f"line {line_no}: id {inst_id!r}: complexity {gold_cell} outside [0, 1]")
         if token not in sentence:
             logger.warning("id %r: token %r does not occur in its sentence", inst_id, token)
         instances.append(Instance(inst_id, subcorpus, sentence, token, gold))

@@ -4,10 +4,11 @@ A feature family is a group of columns that the config switches on or off
 as one (``length``, ``char_trigrams``, ``aoa``, ``pos``, ...). ``BLOCKS`` at
 the end of this module is the single description of every family: the
 order of its columns in the schema, the registry lexicons it reads, what it
-fits on the training rows and how it fills its columns. ``FEATURE_FAMILIES``,
-``resolve_family_lexicons``, ``lexicon_names``, ``fit_schema`` and
-``extract_matrix`` are all read off that table. Extraction is total: missing
-data is imputed, never raised.
+fits on the training rows, how it fills its columns and whether that reads
+the sentence. ``FEATURE_FAMILIES``, ``resolve_family_lexicons``,
+``lexicon_names``, ``fit_schema``, ``distinct_inputs`` and ``extract_matrix``
+are all read off that table. Extraction is total: missing data is imputed,
+never raised.
 """
 
 from __future__ import annotations
@@ -248,10 +249,15 @@ _FROM_JSON = {
 }
 
 
+def _key(inst: Instance) -> str:
+    """The stripped target token, the lexicon lookup key."""
+    return inst.token.strip()
+
+
 @dataclass
 class _Rows:
-    """Instances with what the blocks read for them: the stripped target
-    token (the lookup key), each family's lexicon view and the tagger."""
+    """Instances with what the blocks read for them: each one's ``_key``,
+    each family's lexicon view and the tagger."""
 
     instances: Sequence[Instance]
     views: Mapping[str, Lexicon]
@@ -259,7 +265,7 @@ class _Rows:
     keys: list[str] = field(init=False)
 
     def __post_init__(self):
-        self.keys = [inst.token.strip() for inst in self.instances]
+        self.keys = [_key(inst) for inst in self.instances]
 
     def lookup(self, family: str) -> list[float | None]:
         """The family's lexicon value for every key, None where it has none."""
@@ -277,7 +283,9 @@ class Block:
     lists them), and ``merge`` turns the lexicons found into the family's
     one view. ``fit`` adds the block's fitted state to the schema fields
     being built; ``fill`` writes the block's columns for every row into its
-    slice of the feature matrix.
+    slice of the feature matrix. ``fill`` reads ``rows.keys`` and nothing
+    else of an instance unless ``reads_sentence`` is set; then it may also
+    read the instance's unstripped token and its sentence.
     """
 
     family: str
@@ -286,6 +294,7 @@ class Block:
     fit: Callable[[_Rows, FeatureConfig, dict], None] | None = None
     lexicons: Callable[[FeatureConfig], tuple[str, ...]] = lambda config: ()
     merge: Callable[[list[Lexicon]], Lexicon] = lambda found: found[0]
+    reads_sentence: bool = False
 
 
 def _per_key(value: Callable[[str], int]) -> Callable[[_Rows, FeatureSchema, np.ndarray], None]:
@@ -438,6 +447,7 @@ BLOCKS: tuple[Block, ...] = (
         lambda schema: tuple(f"pos={t}" for t in schema.pos_tagset),
         _fill_pos,
         fit=lambda rows, config, state: _require_tagger(rows),
+        reads_sentence=True,
     ),
     _BIGRAM_LOGS,
     _TRIGRAM_LOGS,
@@ -514,6 +524,24 @@ def fit_schema(
         if block.fit:
             block.fit(rows, config, state)
     return FeatureSchema(config=config, **state)
+
+
+def distinct_inputs(instances: Sequence[Instance], config: FeatureConfig) -> tuple[list[Instance], np.ndarray]:
+    """The first instance of each distinct extraction input, and for each
+    instance the position of its own among them, so that
+    ``extract_matrix(instances)`` has the bytes of
+    ``extract_matrix(representatives)[where]``.
+
+    Instances are the same input when their ``_key`` is equal, or, when an
+    enabled block reads the sentence, their token and sentence are.
+    """
+    whole = any(block.reads_sentence for block in _enabled_blocks(config))
+    first: dict = {}  # key -> (position, representative)
+    where = np.empty(len(instances), dtype=np.intp)
+    for i, inst in enumerate(instances):
+        key = (inst.token, inst.sentence) if whole else _key(inst)
+        where[i] = first.setdefault(key, (len(first), inst))[0]
+    return [inst for _, inst in first.values()], where
 
 
 def extract_matrix(

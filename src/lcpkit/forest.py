@@ -37,15 +37,13 @@ _MAGIC = "LCPMODEL"
 _VERSION = 1
 _SEED_MULTIPLIER = 1_000_003
 _SEED_MASK = (1 << 64) - 1
-#: (tree, row) pairs walked together: r distinct rows walk
+#: (tree, row) pairs walked together: r rows walk
 #: ``max(1, _PAIRS_PER_GROUP // r)`` trees at a time, so a large batch walks
 #: one tree's slice of the node table (about 100 KB) at a time and a single
 #: row walks every tree at once.
 _PAIRS_PER_GROUP = 1 << 13
 #: Levels walked between two checks for pairs that have reached a leaf.
 _LEVELS_PER_CHECK = 8
-#: Rows compared at once when checking that rows grouped together are equal.
-_CHECK_ROWS = 1 << 8
 
 
 def derive_seed(seed: int, tree_index: int) -> int:
@@ -505,20 +503,19 @@ def fit(
     return RandomForest.from_trees(trees, config, feature_names)
 
 
-def _leaves(nodes: Tree, roots: np.ndarray, end: int, offsets: np.ndarray, flat: np.ndarray) -> np.ndarray:
+def _leaves(nodes: Tree, roots: np.ndarray, end: int, X: np.ndarray) -> np.ndarray:
     """The table position of the leaf each (tree, row) pair reaches, shape
     (trees, rows), for the consecutive trees at ``roots``, the last of which
-    ends before table position ``end``.
+    ends before table position ``end``, and the rows of the C-ordered ``X``.
 
-    Row r starts at ``flat[offsets[r]]``. All pairs descend together; as
-    leaves step to themselves, the pairs that have reached one are dropped
-    only every ``_LEVELS_PER_CHECK`` levels.
+    All pairs descend together; as leaves step to themselves, the pairs that
+    have reached one are dropped only every ``_LEVELS_PER_CHECK`` levels.
     """
     lo = int(roots[0])
     feature, threshold, child = nodes.feature[lo:end], nodes.threshold[lo:end], nodes.child[lo:end].ravel()
-    n_trees, n_rows = roots.size, offsets.size
+    (n_rows, d), n_trees, flat = X.shape, roots.size, X.ravel()
     root = np.repeat((roots - lo).astype(np.intp), n_rows)  # within the group
-    node, offset, pair = root.copy(), np.tile(offsets, n_trees), np.arange(root.size)
+    node, offset, pair = root.copy(), np.tile(np.arange(n_rows) * d, n_trees), np.arange(root.size)
     leaf = root.copy()
     index, at, x, thr, right = (
         np.empty(root.size, dtype) for dtype in (np.int32, np.intp, np.float64, np.float64, bool)
@@ -547,58 +544,27 @@ def _leaves(nodes: Tree, roots: np.ndarray, end: int, offsets: np.ndarray, flat:
             np.add(i, root, out=node)  # children are numbered within their tree
 
 
-def _fingerprints(X: np.ndarray) -> np.ndarray:
-    """One number per row of ``X``, equal for byte-equal rows: a fixed random
-    projection."""
-    return X @ np.random.default_rng(0).random(X.shape[1])
-
-
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``X`` to walk, and for each row of ``X`` the position in
-    them of a row with the same bytes.
-
-    Rows with equal fingerprints are grouped, and each row is compared byte
-    for byte with the first row of its group. A row that differs from it,
-    after a fingerprint collision, is walked itself; otherwise byte-equal
-    rows share one walk.
-    """
-    n = X.shape[0]
-    if n < 2:
-        return np.arange(n), np.arange(n)
-    _, first, inverse = np.unique(_fingerprints(X), return_index=True, return_inverse=True)
-    rep = first[inverse]
-    bits = X.view(np.uint64)
-    grouped = np.flatnonzero(rep != np.arange(n))
-    for start in range(0, grouped.size, _CHECK_ROWS):
-        rows = grouped[start : start + _CHECK_ROWS]
-        differ = rows[(bits[rows] != bits[rep[rows]]).any(axis=1)]
-        rep[differ] = differ
-    return np.unique(rep, return_inverse=True)
-
-
 def predict_batch(model: RandomForest, X) -> np.ndarray:
     """Mean of the individual tree outputs for each row of a 2-D ``X``. Raw,
     unclamped. A single row is scored as a one-row ``X``.
 
-    Byte-equal rows are scored once. Leaf values are summed in tree order,
-    so a row's result does not depend on the rows scored with it.
+    Every row is walked. Leaf values are summed in tree order, so a row's
+    result does not depend on the rows scored with it.
     """
-    X = _check_matrix(X)
-    d = X.shape[1]
+    X = np.ascontiguousarray(_check_matrix(X))
+    n, d = X.shape
     if d != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {d}")
-    walked, where = _distinct_rows(X)
     n_trees = model.roots.size
-    group = max(1, _PAIRS_PER_GROUP // max(1, walked.size))
+    group = max(1, _PAIRS_PER_GROUP // max(1, n))
     ends = [*model.roots[1:].tolist(), model.nodes.n_nodes]
-    flat = X.ravel()
-    acc = np.zeros((1, walked.size), dtype=np.float64)
+    acc = np.zeros((1, n), dtype=np.float64)
     for start in range(0, n_trees, group):
         roots = model.roots[start : start + group]
-        leaves = _leaves(model.nodes, roots, ends[start + roots.size - 1], walked * d, flat)
+        leaves = _leaves(model.nodes, roots, ends[start + roots.size - 1], X)
         # accumulate adds row after row: the additions of a loop over the trees
         acc = np.add.accumulate(np.vstack([acc, model.nodes.value[leaves]]), axis=0)[-1:]
-    return (acc[0] / n_trees)[where]
+    return acc[0] / n_trees
 
 
 def save_model(model: RandomForest, sink: IO[bytes]) -> None:

@@ -20,6 +20,7 @@ from .features import (
     FeatureConfig,
     FeatureSchema,
     Tagger,
+    distinct_inputs,
     extract_matrix,
     fit_schema,
     with_families,
@@ -52,15 +53,15 @@ def predict_scores(
     registry: LexiconRegistry,
     tagger: Tagger | None = None,
 ) -> np.ndarray:
-    """Clamped complexity predictions for instances under a fitted pipeline."""
+    """Clamped complexity predictions for instances under a fitted pipeline.
+    Each distinct input (``distinct_inputs``) is extracted and scored once."""
     if schema.fingerprint() != model.schema_fingerprint:
         raise DataError(
             "schema fingerprint mismatch: the model was trained with a different feature schema"
         )
-    X = extract_matrix(instances, schema, registry, tagger)
-    if X.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.clip(forest.predict_batch(model, X), 0.0, 1.0)
+    representatives, where = distinct_inputs(instances, schema.config)
+    X = extract_matrix(representatives, schema, registry, tagger)
+    return np.clip(forest.predict_batch(model, X), 0.0, 1.0)[where]
 
 
 def fit_and_evaluate(

@@ -44,6 +44,12 @@ class TestParse:
         with pytest.raises(DataError, match="bad1"):
             parse_dataset(data, has_gold=True)
 
+    @pytest.mark.parametrize("gold", ["1.5", "nan"])
+    def test_gold_out_of_range_names_line(self, gold):
+        rows = [("x1", "bible", "a cat sat", "cat", "0.5"), ("x2", "bible", "a dog sat", "dog", gold)]
+        with pytest.raises(DataError, match=r"^line 3: id 'x2': complexity"):
+            parse_dataset(dataset_tsv(rows), has_gold=True)
+
     def test_wrong_column_count_names_line(self):
         data = b"id\tcorpus\tsentence\ttoken\tcomplexity\nx1\tbible\tonly three\n"
         with pytest.raises(DataError, match="line 2"):

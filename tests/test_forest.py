@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import io
 import math
@@ -448,31 +447,23 @@ def repeated_rows(draw, n_features: int) -> np.ndarray:
 
 
 class TestRepeatedRows:
-    """Byte-equal rows are scored once, and every row still scores exactly."""
+    """A batch of repeated rows scores every row exactly, whatever the tree groups."""
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), collide=st.booleans())
-    def test_batch_of_repeats_matches_a_per_tree_walk(self, data, collide):
+    @given(data=st.data())
+    def test_batch_of_repeats_matches_a_per_tree_walk(self, data):
         model = data.draw(random_forests())
         X = data.draw(repeated_rows(model.n_features))
-        # a constant fingerprint groups every row with the first
-        constant = mock.patch.object(forest_module, "_fingerprints", lambda X: np.zeros(X.shape[0]))
-        with constant if collide else contextlib.nullcontext():
-            walked, where = forest_module._distinct_rows(X)
+        with mock.patch.object(forest_module, "_PAIRS_PER_GROUP", TestFlatTraversal.PAIRS):
             batch = predict_batch(model, X)
             alone = [predict_batch(model, X[i : i + 1]) for i in range(len(X))]
             fortran = predict_batch(model, np.asfortranarray(X))
-        # rows stand for each other only when their bytes are equal: 0.0 and -0.0 never merge
-        assert all(X[i].tobytes() == X[r].tobytes() for i, r in enumerate(walked[where].tolist()))
         assert batch.tobytes() == reference_predict(model, X).tobytes()
         assert b"".join(a.tobytes() for a in alone) == batch.tobytes()
         assert fortran.tobytes() == batch.tobytes()
-
-    def test_equal_rows_are_walked_once(self):
-        X = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, -0.0], [2.0, 0.0]])
-        walked, where = forest_module._distinct_rows(X)
-        assert walked.tolist() == [0, 1, 3]
-        assert where.tolist() == [0, 1, 0, 2, 1]
+        # byte-equal rows score byte-equal
+        first = {X[i].tobytes(): i for i in reversed(range(len(X)))}
+        assert all(batch[i].tobytes() == batch[first[X[i].tobytes()]].tobytes() for i in range(len(X)))
 
 
 class TestClamp:

@@ -1,17 +1,19 @@
 import math
 import random
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lcpkit import features, pipeline
+from lcpkit import features, forest, pipeline
 from lcpkit.corpus import Instance, split_train_dev
 from lcpkit.errors import DataError
-from lcpkit.features import FeatureConfig
+from lcpkit.features import FEATURE_FAMILIES, POS_TAGSET, FeatureConfig, distinct_inputs, extract_matrix
 from lcpkit.forest import ForestConfig
 from lcpkit.pipeline import fit_and_evaluate, gold_vector, predict_scores, run_ablation
 
-from conftest import continuous_lexicon, make_registry, random_word, synthetic_complexity
+from conftest import binary_lexicon, continuous_lexicon, make_registry, random_word, synthetic_complexity
 
 
 def toy_world(n=80, seed=0):
@@ -101,6 +103,59 @@ class TestPredictScores:
         split = split_train_dev(instances, 0.2, seed=3)
         result = fit_and_evaluate(split, registry, FEATURES, FOREST)
         assert predict_scores([], result.schema, result.model, registry).shape == (0,)
+
+
+def sentence_tagger(token: str, sentence: str) -> str:
+    """A tagger that reads the unstripped token and the sentence."""
+    return POS_TAGSET[(len(token) + len(sentence)) % len(POS_TAGSET)]
+
+
+@cache
+def fitted_world(families: frozenset[str]):
+    """The toy world with every lexicon a family reads, and a pipeline
+    fitted on it with ``families`` on."""
+    instances, registry = toy_world(n=40)
+    rng = random.Random(5)
+    for name in ("aoa_1981", "aoa_2017", "concreteness_brysbaert", "concreteness_mrc", "familiarity_mrc", "arousal"):
+        registry.add(continuous_lexicon(name, {inst.token: rng.uniform(1.0, 7.0) for inst in instances[::2]}))
+    registry.add(binary_lexicon("prior_complexity_x", {inst.token: 1.0 for inst in instances[::3]}))
+    config = FeatureConfig(enabled=families, trigram_min_count=1)
+    result = fit_and_evaluate(split_train_dev(instances, 0.2, seed=3), registry, config, FOREST, sentence_tagger)
+    return [inst.token for inst in instances], registry, result
+
+
+@st.composite
+def repeating_instances(draw, words: list[str]) -> list[Instance]:
+    """Instances that repeat a few tokens, with varied whitespace around the
+    token and varied sentences."""
+    pool = draw(st.lists(st.sampled_from([*words[:6], words[0].upper(), "unseen"]), min_size=1, max_size=3))
+    batch = []
+    for k in range(draw(st.integers(1, 12))):
+        word = draw(st.sampled_from(pool))
+        token = draw(st.sampled_from(["", " ", "  "])) + word + draw(st.sampled_from(["", " "]))
+        sentence = draw(st.sampled_from([f"the {word} was seen", f"a {word} here", "no target"]))
+        batch.append(Instance(f"q{k}", "bible", sentence, token))
+    return batch
+
+
+@pytest.mark.parametrize(
+    "families", [frozenset(FEATURE_FAMILIES), frozenset(FEATURE_FAMILIES) - {"pos"}], ids=["every_family", "no_pos"]
+)
+@settings(deadline=None)
+@given(data=st.data())
+def test_repeated_inputs_score_as_each_alone(families, data):
+    """A batch that repeats inputs scores as each instance alone and as its
+    whole feature matrix, and its representatives extract to the same rows."""
+    words, registry, result = fitted_world(families)
+    schema, model = result.schema, result.model
+    batch = data.draw(repeating_instances(words))
+    scores = predict_scores(batch, schema, model, registry, sentence_tagger)
+    alone = [predict_scores([inst], schema, model, registry, sentence_tagger) for inst in batch]
+    assert b"".join(a.tobytes() for a in alone) == scores.tobytes()
+    X = extract_matrix(batch, schema, registry, sentence_tagger)
+    assert np.clip(forest.predict_batch(model, X), 0.0, 1.0).tobytes() == scores.tobytes()
+    representatives, where = distinct_inputs(batch, schema.config)
+    assert extract_matrix(representatives, schema, registry, sentence_tagger)[where].tobytes() == X.tobytes()
 
 
 def aoa_world():
