@@ -24,7 +24,6 @@ import numpy as np
 
 from .corpus import Instance
 from .errors import DataError, ResourceError, decode_utf8
-from .forest import columns_fingerprint
 from .lexicons import BINARY, Lexicon, LexiconRegistry, lookup, merge_average, merge_binary_union
 
 VOWELS = frozenset("aeiouy")
@@ -184,9 +183,6 @@ class FeatureSchema:
         """Position of each gram in its vocabulary, by ``bigram``/``trigram``."""
         vocabs = {"bigram": self.bigram_vocab, "trigram": self.trigram_vocab}
         return {name: {g: j for j, g in enumerate(vocab)} for name, vocab in vocabs.items()}
-
-    def fingerprint(self) -> str:
-        return columns_fingerprint(self.columns)
 
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.init}

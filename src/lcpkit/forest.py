@@ -21,7 +21,6 @@ attempt when fewer than all features are sampled).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -49,11 +48,6 @@ _LEVELS_PER_CHECK = 8
 def derive_seed(seed: int, tree_index: int) -> int:
     """Per-tree seed: seed * 1000003 + tree_index in wrapping 64-bit arithmetic."""
     return (seed * _SEED_MULTIPLIER + tree_index) & _SEED_MASK
-
-
-def columns_fingerprint(names: Sequence[str]) -> str:
-    """Stable hash of an ordered feature column name list."""
-    return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,6 @@ class RandomForest:
         self.roots = np.asarray(roots, dtype=np.int32)
         self.config = config
         self.feature_names = list(feature_names)
-        self.schema_fingerprint = columns_fingerprint(self.feature_names)
 
     @classmethod
     def from_trees(cls, trees: Sequence[Tree], config: ForestConfig, feature_names: Sequence[str]) -> RandomForest:
@@ -209,10 +202,6 @@ _SCREEN_MAX_BOUNDARIES = 16
 #: Cap on the boundary indicator matrix; past it, the features with the
 #: fewest boundaries are screened and the rest go to the exact search.
 _SCREEN_MAX_BYTES = 1 << 28
-#: Shortlisted binary features are grouped by how they cut the node only
-#: when verifying the whole shortlist would sort at least this many (row,
-#: feature) cells; below it, grouping costs more than the sorts it saves.
-_GROUP_MIN_CELLS = 1 << 12
 _U = 2.0**-53  # unit roundoff of float64
 
 
@@ -249,10 +238,6 @@ class _Screen:
         cols = np.sort(by_width[np.cumsum(width[by_width]) * (8 * n) <= _SCREEN_MAX_BYTES])
         # constant features never split, so they are neither screened nor exact
         self.exact = np.setdiff1d(np.flatnonzero(width), cols)
-        self.binary = np.zeros(d, dtype=bool)
-        self.binary[cols[width[cols] == 1]] = True
-        self.first = np.zeros(d, dtype=np.intp)  # first boundary of each screened feature
-        self.first[cols] = np.cumsum(width[cols]) - width[cols]
         self.feature, pos = np.nonzero(new[cols])
         self.feature = cols[self.feature]
         self.ind = X.take(self.feature, axis=1)
@@ -314,10 +299,8 @@ class _Screen:
         feature with the smallest computed SSE. The shortlist is every exact
         feature, and every screened feature with a boundary whose screened
         score comes within ``4 * E`` of the best (see ``_screen_bound``): no
-        feature left out can reach the winning SSE. Screened binary features
-        that cut the node the same way sort it the same way and score the
-        same, so only the lowest of each such group is verified. Where the
-        bound is not trusted, every sampled feature is verified.
+        feature left out can reach the winning SSE. Where the bound is not
+        trusted, every sampled feature is verified.
         """
         X, y, min_samples_leaf = self.X, self.y, self.min_samples_leaf
         m = idx.size
@@ -344,23 +327,11 @@ class _Screen:
         keep = np.zeros(0, dtype=np.intp)
         if top > -np.inf:
             floor = top - 4.0 * _screen_bound(m, peak, total_abs, float(ysub @ ysub), err)
-            keep = self._distinct_cuts(idx, np.unique(feature[score >= floor]))
+            keep = np.unique(feature[score >= floor])
         verify = np.sort(np.concatenate([exact, keep]))
         if not verify.size:
             return None
         return _best_split(X, y, idx, verify, min_samples_leaf)
-
-    def _distinct_cuts(self, idx, keep):
-        """``keep`` without each screened binary feature that cuts the rows
-        ``idx`` as a lower kept binary feature does."""
-        if keep.size * idx.size < _GROUP_MIN_CELLS:
-            return keep
-        binary = keep[self.binary[keep]]
-        if binary.size < 2:
-            return keep
-        cuts = np.ascontiguousarray(self.ind[np.ix_(idx, self.first[binary])].T)
-        _, first = np.unique(cuts.view(np.dtype((np.void, cuts.shape[1] * 8))).ravel(), return_index=True)
-        return np.sort(np.concatenate([keep[~self.binary[keep]], binary[first]]))
 
 
 def _screen_bound(m: int, peak: float, total_abs: float, sum_sq: float, err: float) -> float:
@@ -489,6 +460,10 @@ def fit(
         feature_names = list(feature_names)
         if len(feature_names) != d:
             raise ValueError(f"expected {d} feature names, got {len(feature_names)}")
+        for j, name in enumerate(feature_names):
+            # the model file holds one name per line, and its section heads end the names
+            if "".join(name.splitlines()) != name or name == "[config]" or name.startswith("[tree"):
+                raise ValueError(f"feature name {j} ({name!r}) cannot be written to a model file")
 
     screen = _Screen(X, y, config.min_samples_leaf)
 
@@ -503,18 +478,17 @@ def fit(
     return RandomForest.from_trees(trees, config, feature_names)
 
 
-def _leaves(nodes: Tree, roots: np.ndarray, end: int, X: np.ndarray) -> np.ndarray:
+def _leaves(nodes: Tree, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The table position of the leaf each (tree, row) pair reaches, shape
-    (trees, rows), for the consecutive trees at ``roots``, the last of which
-    ends before table position ``end``, and the rows of the C-ordered ``X``.
+    (trees, rows), for the trees at ``roots`` and the rows of the C-ordered
+    ``X``.
 
     All pairs descend together; as leaves step to themselves, the pairs that
     have reached one are dropped only every ``_LEVELS_PER_CHECK`` levels.
     """
-    lo = int(roots[0])
-    feature, threshold, child = nodes.feature[lo:end], nodes.threshold[lo:end], nodes.child[lo:end].ravel()
+    feature, threshold, child = nodes.feature, nodes.threshold, nodes.child.ravel()
     (n_rows, d), n_trees, flat = X.shape, roots.size, X.ravel()
-    root = np.repeat((roots - lo).astype(np.intp), n_rows)  # within the group
+    root = np.repeat(roots.astype(np.intp), n_rows)
     node, offset, pair = root.copy(), np.tile(np.arange(n_rows) * d, n_trees), np.arange(root.size)
     leaf = root.copy()
     index, at, x, thr, right = (
@@ -526,7 +500,7 @@ def _leaves(nodes: Tree, roots: np.ndarray, end: int, X: np.ndarray) -> np.ndarr
             leaf[pair] = node
             pair, node, offset, root = pair[live], node[live], offset[live], root[live]
         if not pair.size:
-            return (leaf + lo).reshape(n_trees, n_rows)
+            return leaf.reshape(n_trees, n_rows)
         m = pair.size
         i, a, xv, tv, rv = index[:m], at[:m], x[:m], thr[:m], right[:m]
         # Indices are always in range; mode="wrap" only spares take the copy
@@ -557,11 +531,10 @@ def predict_batch(model: RandomForest, X) -> np.ndarray:
         raise ValueError(f"expected {model.n_features} features, got {d}")
     n_trees = model.roots.size
     group = max(1, _PAIRS_PER_GROUP // max(1, n))
-    ends = [*model.roots[1:].tolist(), model.nodes.n_nodes]
     acc = np.zeros((1, n), dtype=np.float64)
     for start in range(0, n_trees, group):
         roots = model.roots[start : start + group]
-        leaves = _leaves(model.nodes, roots, ends[start + roots.size - 1], X)
+        leaves = _leaves(model.nodes, roots, X)
         # accumulate adds row after row: the additions of a loop over the trees
         acc = np.add.accumulate(np.vstack([acc, model.nodes.value[leaves]]), axis=0)[-1:]
     return acc[0] / n_trees

@@ -55,7 +55,7 @@ def predict_scores(
 ) -> np.ndarray:
     """Clamped complexity predictions for instances under a fitted pipeline.
     Each distinct input (``distinct_inputs``) is extracted and scored once."""
-    if schema.fingerprint() != model.schema_fingerprint:
+    if list(schema.columns) != model.feature_names:
         raise DataError(
             "schema fingerprint mismatch: the model was trained with a different feature schema"
         )
