@@ -519,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="run config file (INI format)")
     common.add_argument("--seed", type=int, default=None, help="seed for split and forest (default: 0)")
-    common.add_argument("--threads", type=int, default=None, help="tree building threads, 0 = auto (default: 1)")
+    common.add_argument(
+        "--threads", type=int, default=None, help="trees grown in parallel (worker processes), 0 = auto (default: 1)"
+    )
     common.add_argument("--quiet", action="store_true", help="suppress informational output (default: off)")
 
     # flags of the commands that fit models; ablate reads the features as its baseline

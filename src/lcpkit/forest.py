@@ -14,16 +14,18 @@ exhaustive search's, bit for bit (see ``_Screen.split``).
 
 Determinism: tree t draws from its own generator seeded with
 ``derive_seed(config.seed, t)``, so results are independent of whether trees
-are built sequentially or in parallel. Within a tree the generator is consumed
-in node pre-order (bootstrap indices first, then one feature draw per split
-attempt when fewer than all features are sampled).
+are built one after another or in parallel worker processes. Within a tree
+the generator is consumed in node pre-order (bootstrap indices first, then
+one feature draw per split attempt when fewer than all features are
+sampled).
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import IO, Sequence
@@ -211,7 +213,7 @@ def _gamma(k: int) -> float:
 
 
 class _Screen:
-    """Per-fit data of the screened split search, shared by the fit threads.
+    """Per-fit data of the screened split search, shared by the fit workers.
 
     ``ind[:, b]`` is 1.0 where ``X[:, feature[b]] <= value`` for boundary b,
     one boundary below each distinct value but the largest of every screened
@@ -421,6 +423,29 @@ def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator, screen: _Sc
     return Tree(*zip(*rows))
 
 
+#: In a fit worker process, the ``(X, y, config, screen)`` it was forked for.
+_worker_task: tuple | None = None
+
+
+def _start_worker(*task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _build(t: int, task: tuple | None = None) -> Tree:
+    """Tree t of the fit ``task``; a worker process builds from its own."""
+    X, y, config, screen = task or _worker_task
+    rng = np.random.default_rng(derive_seed(config.seed, t))
+    return _grow_tree(X, y, config, rng, screen)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -440,8 +465,12 @@ def fit(
     """Train a forest of ``config.n_trees`` CART trees.
 
     Each tree is grown on a bootstrap sample of size n (drawn with replacement
-    from its own derived seed) unless ``config.bootstrap`` is off. Results are
-    identical for a fixed (X, y, config) regardless of ``n_threads``.
+    from its own derived seed) unless ``config.bootstrap`` is off.
+
+    ``n_threads`` trees are grown at once (0: one per usable CPU), each in a
+    forked worker process; with one, or where fork is unavailable, they are
+    grown in this process and no process is started. Results are identical
+    for a fixed (X, y, config) regardless of ``n_threads``.
     """
     X = _check_matrix(X)
     y = np.asarray(y, dtype=np.float64)
@@ -465,16 +494,17 @@ def fit(
             if "".join(name.splitlines()) != name or name == "[config]" or name.startswith("[tree"):
                 raise ValueError(f"feature name {j} ({name!r}) cannot be written to a model file")
 
-    screen = _Screen(X, y, config.min_samples_leaf)
-
-    def build(t: int) -> Tree:
-        rng = np.random.default_rng(derive_seed(config.seed, t))
-        return _grow_tree(X, y, config, rng, screen)
-
-    if n_threads == 0:
-        n_threads = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        trees = list(pool.map(build, range(config.n_trees)))
+    if n_threads < 0:
+        raise ValueError(f"n_threads must be >= 0 (0 = auto), got {n_threads}")
+    task = (X, y, config, _Screen(X, y, config.min_samples_leaf))
+    workers = min(n_threads or _usable_cpus(), config.n_trees)
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        trees = [_build(t, task) for t in range(config.n_trees)]
+    else:
+        # Forked workers inherit the task, so X and the screen are never pickled.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=task) as pool:
+            trees = list(pool.map(_build, range(config.n_trees)))
     return RandomForest.from_trees(trees, config, feature_names)
 
 

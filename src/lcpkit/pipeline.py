@@ -55,10 +55,15 @@ def predict_scores(
 ) -> np.ndarray:
     """Clamped complexity predictions for instances under a fitted pipeline.
     Each distinct input (``distinct_inputs``) is extracted and scored once."""
-    if list(schema.columns) != model.feature_names:
-        raise DataError(
-            "schema fingerprint mismatch: the model was trained with a different feature schema"
+    columns, names = list(schema.columns), model.feature_names
+    if columns != names:
+        at = next((i for i, (a, b) in enumerate(zip(columns, names)) if a != b), None)
+        differ = (
+            f"{len(columns)} schema columns, {len(names)} model features"
+            if at is None
+            else f"column {at} is {columns[at]!r} in the schema, {names[at]!r} in the model"
         )
+        raise DataError(f"schema does not match the model's features: {differ}")
     representatives, where = distinct_inputs(instances, schema.config)
     X = extract_matrix(representatives, schema, registry, tagger)
     return np.clip(forest.predict_batch(model, X), 0.0, 1.0)[where]

@@ -237,7 +237,7 @@ class TestPredict:
                    "--schema", str(other) + ".schema.json",
                    "--input", workspace["test"], "--output", out)
         assert code == 2
-        assert "fingerprint" in capsys.readouterr().err
+        assert "schema does not match the model's features" in capsys.readouterr().err
 
     def test_manifest_records_the_model_features_and_inputs(self, workspace):
         model = workspace["tmp"] / "pos.lcpmodel"

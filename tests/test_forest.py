@@ -1,8 +1,11 @@
 import hashlib
 import io
 import math
+import multiprocessing
 import random
 import re
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
 from unittest import mock
@@ -148,6 +151,103 @@ class TestFit:
         model = fit([[1.0], [2.0]], [0.0, 1.0], single_tree_config(max_depth=0))
         assert model.trees[0].n_nodes == 1
         assert model.trees[0].value[0] == 0.5
+
+
+def model_bytes(model) -> bytes:
+    buf = io.BytesIO()
+    save_model(model, buf)
+    return buf.getvalue()
+
+
+def worker_pools():
+    """Patch forest's process pool with a spy that still starts the pool."""
+    return mock.patch.object(forest_module, "ProcessPoolExecutor", wraps=ProcessPoolExecutor)
+
+
+class TestWorkers:
+    """Trees grown in forked worker processes."""
+
+    @staticmethod
+    def data(seed: int):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([rng.normal(size=80), rng.integers(0, 3, size=(80, 5))])
+        return X, X[:, 0] + X[:, 1] + rng.random(80)
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 6])
+    def test_same_bytes_for_any_worker_count(self, n_trees):
+        X, y = self.data(1)
+        cfg = ForestConfig(n_trees=n_trees, max_features_per_split=3, seed=9)
+        expected = model_bytes(fit(X, y, cfg))
+        for threads in (1, 2, 3, 5):
+            with worker_pools() as pool:
+                assert model_bytes(fit(X, y, cfg, n_threads=threads)) == expected
+            workers = min(threads, n_trees)
+            if workers == 1:
+                pool.assert_not_called()
+            else:
+                assert pool.call_count == 1 and pool.call_args.args[0] == workers
+
+    def test_no_worker_outlives_fit(self):
+        X, y = self.data(2)
+        cfg = ForestConfig(n_trees=3, seed=4)
+        fit(X, y, cfg, n_threads=2)
+        assert multiprocessing.active_children() == []
+
+        grow = forest_module._grow_tree
+        tree_1 = np.random.default_rng(derive_seed(cfg.seed, 1)).bit_generator.state
+
+        def failing(X, y, config, rng, screen):
+            if rng.bit_generator.state == tree_1:
+                raise RuntimeError("tree 1 failed")
+            return grow(X, y, config, rng, screen)
+
+        with mock.patch.object(forest_module, "_grow_tree", failing):
+            with pytest.raises(RuntimeError, match="tree 1 failed"):
+                fit(X, y, cfg, n_threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_concurrent_fits_match_sequential(self):
+        jobs = [(self.data(3), 2), (self.data(4), 1), (self.data(5), 2)]
+        cfg = ForestConfig(n_trees=4, seed=6)
+        expected = [model_bytes(fit(X, y, cfg, n_threads=threads)) for (X, y), threads in jobs]
+        module_state = dict(vars(forest_module))
+        start = threading.Barrier(len(jobs))
+        got = [None] * len(jobs)
+
+        def run(i):
+            (X, y), threads = jobs[i]
+            start.wait()
+            got[i] = model_bytes(fit(X, y, cfg, n_threads=threads))
+
+        runners = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=120)
+            assert not runner.is_alive()
+        assert got == expected
+        assert vars(forest_module) == module_state
+
+    def test_auto_counts_usable_cpus(self):
+        X, y = self.data(7)
+        cfg = ForestConfig(n_trees=3, seed=1)
+        with worker_pools() as pool, mock.patch("os.sched_getaffinity", return_value={0}, create=True):
+            one = model_bytes(fit(X, y, cfg, n_threads=0))
+        pool.assert_not_called()
+        with worker_pools() as pool, mock.patch("os.sched_getaffinity", return_value={0, 1}, create=True):
+            assert model_bytes(fit(X, y, cfg, n_threads=0)) == one
+        assert pool.call_args.args[0] == 2
+
+    def test_without_fork_grows_in_process(self):
+        X, y = self.data(8)
+        cfg = ForestConfig(n_trees=3, seed=2)
+        with worker_pools() as pool, mock.patch("multiprocessing.get_all_start_methods", return_value=["spawn"]):
+            assert model_bytes(fit(X, y, cfg, n_threads=2)) == model_bytes(fit(X, y, cfg))
+        pool.assert_not_called()
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="n_threads must be >= 0"):
+            fit([[1.0], [2.0]], [0.0, 1.0], single_tree_config(), n_threads=-1)
 
 
 class TestSplitOptimality:

@@ -95,7 +95,11 @@ class TestPredictScores:
         result = fit_and_evaluate(split, registry, FEATURES, FOREST)
         other_features = FeatureConfig(enabled=frozenset({"length", "syllables"}))
         other = fit_and_evaluate(split, registry, other_features, FOREST)
-        with pytest.raises(DataError, match="fingerprint"):
+        n = len(result.model.feature_names)
+        with pytest.raises(DataError, match=f"2 schema columns, {n} model features"):
+            predict_scores(split.dev, other.schema, result.model, registry)
+        other = fit_and_evaluate(split, registry, FeatureConfig(enabled=frozenset({"length", "frequency"})), FOREST)
+        with pytest.raises(DataError, match="column 1 is 'frequency' in the schema, 'syllables' in the model"):
             predict_scores(split.dev, other.schema, result.model, registry)
 
     def test_empty_instances(self):
