@@ -10,16 +10,16 @@ Config grammar::
 
     [data]                      [forest]
     train = path                n_trees = 120
-    test = path                 max_features_per_split = 750
-    dev_fraction = 0.2          min_samples_leaf = 1
-    eval_on = dev               min_samples_split = 2
-                                max_depth = none
-    [features]                  bootstrap = true
-    preset = lcp_rit            seed = 42
-    enabled = length,syllables
-    trigram_min_count = 5       [run]
-    trigram_max_vocab = 700     seed = 42
-    frequency_source = lexicon  threads = 1
+    dev_fraction = 0.2          max_features_per_split = 750
+    eval_on = dev               min_samples_leaf = 1
+                                min_samples_split = 2
+    [features]                  max_depth = none
+    preset = lcp_rit            bootstrap = true
+    enabled = length,syllables  seed = 42       # default: [run] seed
+    trigram_min_count = 5
+    trigram_max_vocab = 700     [run]
+    frequency_source = lexicon  seed = 42
+                                threads = 1
 
     [pos]
     tag_lexicon = path
@@ -45,7 +45,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -63,9 +63,7 @@ from .features import (
 )
 from .forest import ForestConfig, load_model, save_model
 from .lexicons import LexiconRegistry, LexiconSpec, coverage, load_lexicon
-from .pipeline import fit_and_evaluate, predict_scores, run_ablation
-
-logger = logging.getLogger(__name__)
+from .pipeline import EVAL_SIDES, fit_and_evaluate, predict_scores, run_ablation
 
 
 class UsageError(LcpkitError):
@@ -78,32 +76,25 @@ class UsageError(LcpkitError):
 
 @dataclass
 class RunConfig:
+    """The settings a run uses, as the config file and the flags resolve them."""
+
     train_path: str | None = None
-    test_path: str | None = None
     dev_fraction: float = 0.2
     eval_on: str = "dev"
     seed: int = 0
     threads: int = 1
     preset: str | None = None
-    # the feature settings carry FeatureConfig's field names and defaults
-    enabled: frozenset[str] | None = None
-    trigram_min_count: int = FeatureConfig.trigram_min_count
-    trigram_max_vocab: int = FeatureConfig.trigram_max_vocab
-    frequency_source: str = FeatureConfig.frequency_source
+    #: the ``[features]`` values given, by FeatureConfig field name
+    features: dict = field(default_factory=dict)
     forest: ForestConfig = field(default_factory=ForestConfig)
-    forest_seed_set: bool = False
     lexicons: dict[str, LexiconSpec] = field(default_factory=dict)
     pos_lexicon: str | None = None
 
     def feature_config(self) -> FeatureConfig:
-        settings = {f.name: getattr(self, f.name) for f in fields(FeatureConfig) if f.name != "enabled"}
-        if self.preset is None and self.enabled is not None:
-            return FeatureConfig(enabled=self.enabled, **settings)
+        if self.preset is None and "enabled" in self.features:
+            return FeatureConfig(**self.features)
+        settings = {k: v for k, v in self.features.items() if k != "enabled"}
         return FeatureConfig.preset("baseline" if self.preset is None else self.preset, **settings)
-
-    def forest_config(self) -> ForestConfig:
-        seed = self.forest.seed if self.forest_seed_set else self.seed
-        return replace(self.forest, seed=seed)
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -152,19 +143,38 @@ _PARSERS = {
 }
 
 #: Every ``[section] key`` of the run config: the RunConfig attribute it sets
-#: (``forest.NAME`` is field NAME of the forest config) and its parser.
+#: (``features.NAME`` is entry NAME of the feature values, ``forest.NAME``
+#: field NAME of the forest config) and its parser.
 _KEYS = {
     ("data", "train"): ("train_path", _parse_str),
-    ("data", "test"): ("test_path", _parse_str),
     ("data", "dev_fraction"): ("dev_fraction", _parse_float),
     ("data", "eval_on"): ("eval_on", _parse_str),
     ("features", "preset"): ("preset", _parse_str),
-    **{("features", f.name): (f.name, _PARSERS[f.type]) for f in fields(FeatureConfig)},
+    **{("features", f.name): (f"features.{f.name}", _PARSERS[f.type]) for f in fields(FeatureConfig)},
     **{("forest", f.name): (f"forest.{f.name}", _PARSERS[f.type]) for f in fields(ForestConfig)},
     ("run", "seed"): ("seed", _parse_int),
     ("run", "threads"): ("threads", _parse_int),
     ("pos", "tag_lexicon"): ("pos_lexicon", _parse_str),
 }
+
+#: The ``[section] key`` that each common flag sets; a flag given wins over the file.
+_FLAGS = {
+    "train": ("data", "train"), "dev_fraction": ("data", "dev_fraction"), "eval_on": ("data", "eval_on"),
+    "preset": ("features", "preset"), "features": ("features", "enabled"),
+    "seed": ("run", "seed"), "threads": ("run", "threads"),
+}
+
+
+def _set(cfg: RunConfig, section: str, key: str, raw: str) -> None:
+    """Parse ``raw`` as the value of ``[section] key`` and set it in ``cfg``."""
+    target, parse = _KEYS[section, key]
+    value = parse(raw, f"[{section}] {key}")
+    if target.startswith("forest."):
+        cfg.forest = replace(cfg.forest, **{key: value})
+    elif target.startswith("features."):
+        cfg.features[key] = value
+    else:
+        setattr(cfg, target, value)
 
 
 def load_run_config(path: str | None) -> RunConfig:
@@ -203,39 +213,31 @@ def load_run_config(path: str | None) -> RunConfig:
             if unknown:
                 raise DataError(f"config section [{section}]: unknown keys {sorted(unknown)}")
             for key, raw in keys.items():
-                target, parse = _KEYS[section, key]
-                value = parse(raw, f"[{section}] {key}")
-                if target.startswith("forest."):
-                    cfg.forest = replace(cfg.forest, **{key: value})
-                    cfg.forest_seed_set |= key == "seed"
-                else:
-                    setattr(cfg, target, value)
+                _set(cfg, section, key, raw)
             if section == "features":  # the preset is checked where it is used, as --preset may replace it
-                replace(cfg, preset=None, enabled=cfg.enabled or frozenset(FEATURE_FAMILIES)).feature_config()
+                FeatureConfig(**{"enabled": FEATURE_FAMILIES, **cfg.features})
         except ValueError as exc:  # a value LexiconSpec, ForestConfig or FeatureConfig refuses
             raise DataError(f"config section [{section}]: {exc}") from None
+    if not parser.has_option("forest", "seed"):
+        cfg.forest = replace(cfg.forest, seed=cfg.seed)
     return cfg
 
 
 def _apply_common_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """``cfg`` with the flags given applied, checked before any input is read."""
+    for flag, (section, key) in _FLAGS.items():
+        if getattr(args, flag, None) is not None:
+            _set(cfg, section, key, str(getattr(args, flag)))
     if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.forest_seed_set = False
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if getattr(args, "train", None):
-        cfg.train_path = args.train
-    if getattr(args, "preset", None):
-        cfg.preset = args.preset
-    if getattr(args, "features", None):
-        cfg.enabled = parse_enabled_list(args.features)
+        cfg.forest = replace(cfg.forest, seed=cfg.seed)
+    if getattr(args, "features", None) is not None:
         cfg.preset = None
-    if getattr(args, "dev_fraction", None) is not None:
-        cfg.dev_fraction = args.dev_fraction
-    if getattr(args, "eval_on", None):
-        cfg.eval_on = args.eval_on
     if cfg.threads < 0:
         raise UsageError(f"threads must be >= 0 (0 = auto), got {cfg.threads}")
+    if not 0.0 < cfg.dev_fraction < 1.0:
+        raise DataError(f"[data] dev_fraction must be in (0, 1), got {cfg.dev_fraction}")
+    if cfg.eval_on not in EVAL_SIDES:
+        raise DataError(f"[data] eval_on must be one of {EVAL_SIDES}, got {cfg.eval_on!r}")
     return cfg
 
 
@@ -289,7 +291,7 @@ def _config_snapshot(cfg: RunConfig) -> dict:
     because it never changes an output byte."""
     ran = {
         f"{section}.{f.name}": getattr(config, f.name)
-        for section, config in (("features", cfg.feature_config()), ("forest", cfg.forest_config()))
+        for section, config in (("features", cfg.feature_config()), ("forest", cfg.forest))
         for f in fields(config)
     }
     snap = {}
@@ -350,17 +352,24 @@ def _require(value, flag: str):
     return value
 
 
-def cmd_train(args, cfg: RunConfig) -> int:
-    train_path = _require(cfg.train_path, "--train")
-    feature_config = cfg.feature_config()
+def _load_training(cfg: RunConfig, train_path: str, feature_config: FeatureConfig):
+    """The train/dev split of the training dataset, the lexicons and the POS
+    tagger that ``feature_config`` reads, and every file they came from."""
     instances = parse_dataset(_read_file(train_path, "training dataset"), has_gold=True)
     split = split_train_dev(instances, cfg.dev_fraction, cfg.seed)
     registry, tagger, resources = load_resources(cfg, feature_config)
+    return split, registry, tagger, [train_path, *resources]
+
+
+def cmd_train(args, cfg: RunConfig) -> int:
+    train_path = _require(cfg.train_path, "--train")
+    feature_config = cfg.feature_config()
+    split, registry, tagger, inputs = _load_training(cfg, train_path, feature_config)
     result = fit_and_evaluate(
         split,
         registry,
         feature_config,
-        cfg.forest_config(),
+        cfg.forest,
         tagger,
         eval_on=cfg.eval_on,
         n_threads=cfg.threads,
@@ -371,13 +380,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     _write_file(model_path, model_bytes.getvalue(), "model output")
     schema_path = model_path.with_name(model_path.name + ".schema.json")
     _write_file(schema_path, result.schema.to_json().encode("utf-8"), "model output")
-    write_manifest(
-        model_path,
-        "train",
-        cfg,
-        [train_path, *resources],
-        [model_path.name, schema_path.name],
-    )
+    write_manifest(model_path, "train", cfg, inputs, [model_path.name, schema_path.name])
     _say(args, f"model written to {model_path}")
     if result.report is not None:
         _say(args, f"{cfg.eval_on} metrics: {_metrics_line(result.report)}")
@@ -389,11 +392,11 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     model = load_model(model_bytes)
     schema_path = args.schema or args.model + ".schema.json"
     schema = FeatureSchema.from_json(_read_file(schema_path, "schema file"))
-    # The model's own feature settings replace the run config's, so the
-    # manifest records what ran.
+    # The model's own feature and forest settings replace the run config's,
+    # so the manifest records what ran.
     cfg.preset = None
-    for f in fields(FeatureConfig):
-        setattr(cfg, f.name, getattr(schema.config, f.name))
+    cfg.features = asdict(schema.config)
+    cfg.forest = model.config
     registry, tagger, resources = load_resources(cfg, schema.config)
     instances = parse_dataset(_read_file(args.input, "input dataset"), has_gold=False)
     scores = predict_scores(instances, schema, model, registry, tagger)
@@ -434,9 +437,8 @@ def _parse_predictions(data: bytes, path: str) -> dict[str, float]:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    # The manifest records the resolved configs; a bad one fails before any output.
+    # The manifest records the resolved feature config; a bad one fails before any output.
     cfg.feature_config()
-    cfg.forest_config()
     predictions = _parse_predictions(_read_file(args.pred, "predictions file"), args.pred)
     gold_instances = parse_dataset(_read_file(args.gold, "gold dataset"), has_gold=True)
     labeled = [inst for inst in gold_instances if inst.gold is not None]
@@ -462,16 +464,13 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     train_path = _require(cfg.train_path, "--train")
     candidates = [c.strip() for c in args.candidates.split(",") if c.strip()]
     baseline = cfg.feature_config()
-    all_families = with_families(baseline, *candidates)
-    instances = parse_dataset(_read_file(train_path, "training dataset"), has_gold=True)
-    split = split_train_dev(instances, cfg.dev_fraction, cfg.seed)
-    registry, tagger, resources = load_resources(cfg, all_families)
+    split, registry, tagger, inputs = _load_training(cfg, train_path, with_families(baseline, *candidates))
     rows = run_ablation(
         split,
         registry,
         baseline,
         candidates,
-        cfg.forest_config(),
+        cfg.forest,
         tagger,
         eval_on=cfg.eval_on,
         n_threads=cfg.threads,
@@ -479,7 +478,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     text = render_report(rows, args.format)
     report_path = Path(args.report)
     _write_file(report_path, text.encode("utf-8"), "report")
-    write_manifest(report_path, "ablate", cfg, [train_path, *resources], [report_path.name])
+    write_manifest(report_path, "ablate", cfg, inputs, [report_path.name])
     for row in rows:
         _say(args, f"{row.label}: {_metrics_line(row.report)}")
     return 0
@@ -530,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     fitting.add_argument("--preset", choices=sorted(PRESETS), default=None, help="feature preset (default: baseline)")
     fitting.add_argument("--features", metavar="LIST", default=None, help="comma-separated feature families")
     fitting.add_argument("--dev-fraction", type=float, default=None, help="held-out fraction (default: 0.2)")
-    fitting.add_argument("--eval-on", choices=["dev", "train"], default=None, help="evaluation side (default: dev)")
+    fitting.add_argument("--eval-on", choices=EVAL_SIDES, default=None, help="evaluation side (default: dev)")
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -54,18 +54,12 @@ def pearson(x, y) -> float | None:
 
 
 def rank_average(x) -> np.ndarray:
-    """Fractional 1-based ranks; ties get the mean of their covered positions."""
+    """Fractional 1-based ranks of finite values (``spearman`` refuses any
+    other); ties get the mean of their covered positions."""
     a = np.asarray(x, dtype=np.float64).reshape(-1)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, value_of, counts = np.unique(a, return_inverse=True, return_counts=True)
+    # a value covering positions last - count + 1 .. last has their mean rank
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[value_of]
 
 
 def spearman(x, y) -> float | None:

@@ -9,8 +9,12 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcpkit import cli
 from lcpkit.cli import _KEYS, _parse_predictions, load_run_config, main
+from lcpkit.corpus import split_train_dev
 from lcpkit.errors import DataError, LcpkitError
+from lcpkit.features import PRESETS
+from lcpkit.forest import load_model
 from lcpkit.lexicons import LexiconSpec
 
 from conftest import mutated, mutated_json, random_word, synthetic_complexity, tsv_inputs
@@ -56,7 +60,7 @@ def build_workspace(tmp_path, n=60, seed=0, lexicons=("frequency", "prevalence",
 
     config = tmp_path / "run.ini"
     config.write_text(
-        f"[data]\ntrain = {train}\ntest = {test}\ndev_fraction = 0.2\n\n"
+        f"[data]\ntrain = {train}\ndev_fraction = 0.2\n\n"
         "[forest]\nn_trees = 6\n\n"
         "[run]\nseed = 5\n\n"
         f"[pos]\ntag_lexicon = {pos}\n\n" + "\n".join(lex_sections)
@@ -73,6 +77,21 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def train_seeds(monkeypatch, *argv) -> tuple[int, list[str]]:
+    """Train with ``argv`` (``--model`` last): the model's forest seed and
+    the ids of the dev side the run split off."""
+    dev_ids = []
+
+    def spy(instances, dev_fraction, seed):
+        split = split_train_dev(instances, dev_fraction, seed)
+        dev_ids.extend(inst.id for inst in split.dev)
+        return split
+
+    monkeypatch.setattr(cli, "split_train_dev", spy)
+    assert run("train", *argv, "--quiet") == 0
+    return load_model(argv[-1].read_bytes()).config.seed, dev_ids
+
+
 class TestTrain:
     def test_train_writes_model_schema_manifest(self, workspace, capsys):
         model = workspace["tmp"] / "out.lcpmodel"
@@ -86,7 +105,7 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert manifest["seed"] == 5
         assert sorted(k for k in manifest["config"] if not k.startswith("lexicon.")) == [
-            "data.dev_fraction", "data.eval_on", "data.test", "data.train",
+            "data.dev_fraction", "data.eval_on", "data.train",
             "features.enabled", "features.frequency_source", "features.preset",
             "features.trigram_max_vocab", "features.trigram_min_count",
             "forest.bootstrap", "forest.max_depth", "forest.max_features_per_split",
@@ -112,6 +131,64 @@ class TestTrain:
         model = workspace["tmp"] / "s.lcpmodel"
         assert run("train", "--config", workspace["config"], "--model", model, "--seed", "9", "--quiet") == 0
         assert "seed=9" in model.read_text()
+
+    @pytest.mark.parametrize("place", ["before", "after"])
+    def test_forest_seed_defaults_to_run_seed(self, workspace, monkeypatch, place):
+        text = workspace["config"].read_text()
+        assert "[forest]\nn_trees = 6\n" in text and text.index("[forest]") < text.index("[run]")
+        if place == "before":
+            text = text.replace("[forest]\nn_trees = 6\n", "[forest]\nn_trees = 6\nseed = 7\n")
+        else:
+            text = text.replace("[forest]\nn_trees = 6\n", "") + "\n[forest]\nn_trees = 6\nseed = 7\n"
+        tmp = workspace["tmp"]
+        cfg = tmp / "seeds.ini"
+        cfg.write_text(text)
+        # the workspace config sets only [run] seed = 5
+        run_seed, run_dev = train_seeds(monkeypatch, "--config", workspace["config"], "--model", tmp / "run.lcpmodel")
+        assert run_seed == 5
+        seed, dev = train_seeds(monkeypatch, "--config", cfg, "--model", tmp / "forest.lcpmodel")
+        assert (seed, dev) == (7, run_dev)
+        seed, dev = train_seeds(monkeypatch, "--config", cfg, "--seed", "9", "--model", tmp / "flag.lcpmodel")
+        nine = tmp / "nine.ini"
+        nine.write_text(workspace["config"].read_text().replace("[run]\nseed = 5", "[run]\nseed = 9"))
+        assert (seed, dev) == train_seeds(monkeypatch, "--config", nine, "--model", tmp / "nine.lcpmodel")
+        assert seed == 9 and dev != run_dev
+
+    @pytest.mark.parametrize("features,flags,enabled", [
+        ("preset = lcp_rit\nenabled = length,pos\n", [], PRESETS["lcp_rit"]),
+        ("preset = lcp_rit\n", ["--features", "length,syllables"], {"length", "syllables"}),
+        ("enabled = length,syllables\n", ["--preset", "lcp_rit"], PRESETS["lcp_rit"]),
+    ])
+    def test_feature_settings_resolve(self, workspace, features, flags, enabled):
+        cfg = workspace["tmp"] / "features.ini"
+        cfg.write_text(workspace["config"].read_text() + "\n[features]\n" + features)
+        model = workspace["tmp"] / "f.lcpmodel"
+        assert run("train", "--config", cfg, "--model", model, *flags, "--quiet") == 0
+        schema = json.loads((workspace["tmp"] / "f.lcpmodel.schema.json").read_text())
+        assert set(schema["config"]["enabled"]) == set(enabled)
+
+    @pytest.mark.parametrize("data,flags", [
+        ("eval_on = nope", []),
+        ("dev_fraction = 1.5", []),
+        ("dev_fraction = nan", []),
+        ("", ["--dev-fraction", "0"]),
+        ("", ["--dev-fraction", "1.5"]),
+    ], ids=["eval_on", "dev_fraction", "dev_fraction_nan", "flag_0", "flag_1.5"])
+    def test_bad_data_value_is_refused_before_any_input(self, workspace, data, flags, capsys):
+        cfg = workspace["tmp"] / "data.ini"
+        cfg.write_text(f"[data]\n{data}\n")
+        # the dataset does not exist: the [data] values are checked before any input is read
+        code = run("train", "--config", cfg, "--train", workspace["tmp"] / "missing.tsv",
+                   "--model", workspace["tmp"] / "m.lcpmodel", *flags)
+        assert code == 2
+        key = "eval_on" if "eval_on" in data else "dev_fraction"
+        assert f"[data] {key}" in capsys.readouterr().err
+
+    def test_data_test_key_is_unknown(self, tmp_path):
+        cfg = tmp_path / "test.ini"
+        cfg.write_text("[data]\ntest = test.tsv\n")
+        with pytest.raises(DataError, match=re.escape("config section [data]: unknown keys ['test']")):
+            load_run_config(str(cfg))
 
     def test_missing_lexicon_fails_fast_naming_family(self, tmp_path, capsys):
         ws = build_workspace(tmp_path, lexicons=("frequency", "aoa_1981", "concreteness_brysbaert", "arousal"))
@@ -257,6 +334,20 @@ class TestPredict:
         ])
         assert all(h.startswith("sha256:") for h in manifest["inputs"].values())
 
+    def test_manifest_records_the_model_forest_settings(self, workspace, trained):
+        other = workspace["tmp"] / "other.ini"
+        other.write_text(workspace["config"].read_text().replace(
+            "[forest]\nn_trees = 6\n", "[forest]\nn_trees = 3\nmin_samples_leaf = 4\nseed = 11\n"))
+        out = workspace["tmp"] / "pred.tsv"
+        assert run("predict", "--config", other, "--model", trained,
+                   "--input", workspace["test"], "--output", out, "--quiet") == 0
+        config = json.loads((workspace["tmp"] / "pred.tsv.manifest.json").read_text())["config"]
+        assert (config["forest.n_trees"], config["forest.min_samples_leaf"], config["forest.seed"]) == (6, 1, 5)
+        model = load_model(trained.read_bytes())
+        assert {k: v for k, v in config.items() if k.startswith("forest.")} == {
+            f"forest.{f.name}": getattr(model.config, f.name) for f in fields(model.config)
+        }
+
     def test_pos_model_without_tagger_is_resource_error(self, workspace, capsys):
         model = workspace["tmp"] / "pos.lcpmodel"
         assert run("train", "--config", workspace["config"], "--model", model,
@@ -326,6 +417,25 @@ class TestEvaluate:
         assert code == 2
         captured = capsys.readouterr()
         assert "nope" in captured.err
+        assert "mae=" not in captured.out
+        assert not report.exists()
+        assert not (workspace["tmp"] / "report.md.manifest.json").exists()
+
+    @pytest.mark.parametrize("data", ["eval_on = nope", "dev_fraction = 1.5"])
+    def test_bad_data_value_writes_nothing(self, workspace, data, capsys):
+        pred = workspace["tmp"] / "pred.tsv"
+        gold_lines = workspace["train"].read_text().splitlines()[1:]
+        pred.write_text(
+            "id\tprediction\n" + "\n".join(f"{l.split(chr(9))[0]}\t0.5" for l in gold_lines) + "\n"
+        )
+        config = workspace["tmp"] / "bad.ini"
+        config.write_text(f"[data]\n{data}\n")
+        report = workspace["tmp"] / "report.md"
+        code = run("evaluate", "--config", config, "--pred", pred, "--gold", workspace["train"],
+                   "--report", report)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"[data] {data.split()[0]}" in captured.err
         assert "mae=" not in captured.out
         assert not report.exists()
         assert not (workspace["tmp"] / "report.md.manifest.json").exists()

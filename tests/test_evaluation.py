@@ -118,9 +118,11 @@ class TestSpearman:
 
     def test_ranks_match_scipy(self):
         rng = random.Random(5)
+        inputs = [[0.25] * 7, [0.0, -0.0, 1.0, -0.0, -1.0]]
         for _ in range(40):
             n = rng.randint(1, 50)
-            x = [rng.choice([1, 2, 3, 4, rng.random()]) for _ in range(n)]
+            inputs.append([rng.choice([1, 2, 3, 4, rng.random()]) for _ in range(n)])
+        for x in inputs:
             assert rank_average(x).tolist() == stats.rankdata(x, method="average").tolist()
 
     def test_negation_flips_sign(self):
