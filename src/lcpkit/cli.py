@@ -285,23 +285,34 @@ def _sha256(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _config_snapshot(cfg: RunConfig) -> dict:
-    """Every config key as the run resolved it: the feature and forest
-    entries come from the configs that ran. The thread count is left out,
-    because it never changes an output byte."""
+#: The config sections whose settings each command uses; its manifest
+#: records those only, and the top-level seed only when it reads ``[run]``.
+_READS = {
+    "train": ("data", "features", "forest", "run", "pos", "lexicon"),
+    "ablate": ("data", "features", "forest", "run", "pos", "lexicon"),
+    "predict": ("features", "forest", "pos", "lexicon"),
+    "evaluate": (),
+}
+
+
+def _config_snapshot(cfg: RunConfig, sections: tuple[str, ...]) -> dict:
+    """Every key of ``sections`` as the run resolved it: the feature and
+    forest entries come from the configs that ran. The thread count is left
+    out, because it never changes an output byte."""
     ran = {
         f"{section}.{f.name}": getattr(config, f.name)
         for section, config in (("features", cfg.feature_config()), ("forest", cfg.forest))
         for f in fields(config)
     }
+    ran["features.enabled"] = ",".join(sorted(ran["features.enabled"]))
     snap = {}
     for (section, key), (target, _) in _KEYS.items():
-        if (section, key) != ("run", "threads"):
+        if section in sections and (section, key) != ("run", "threads"):
             name = f"{section}.{key}"
             snap[name] = ran[name] if name in ran else getattr(cfg, target)
-    snap["features.enabled"] = ",".join(sorted(ran["features.enabled"]))
-    for name, spec in sorted(cfg.lexicons.items()):
-        snap[f"lexicon.{name}"] = spec.path
+    if "lexicon" in sections:
+        for name, spec in sorted(cfg.lexicons.items()):
+            snap[f"lexicon.{name}"] = spec.path
     return snap
 
 
@@ -317,11 +328,12 @@ def write_manifest(
     doc = {
         "version": 1,
         "command": command,
-        "seed": cfg.seed,
-        "config": _config_snapshot(cfg),
+        "config": _config_snapshot(cfg, _READS[command]),
         "inputs": inputs,
         "outputs": outputs,
     }
+    if "run" in _READS[command]:
+        doc["seed"] = cfg.seed
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     text = json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
     _write_file(manifest_path, text.encode("utf-8"), "manifest")
@@ -437,7 +449,7 @@ def _parse_predictions(data: bytes, path: str) -> dict[str, float]:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    # The manifest records the resolved feature config; a bad one fails before any output.
+    # A bad feature preset fails here, before any output, as in the commands that fit.
     cfg.feature_config()
     predictions = _parse_predictions(_read_file(args.pred, "predictions file"), args.pred)
     gold_instances = parse_dataset(_read_file(args.gold, "gold dataset"), has_gold=True)

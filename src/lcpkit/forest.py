@@ -684,21 +684,26 @@ def load_model(source: IO[bytes] | bytes) -> RandomForest:
     if not names:
         raise DataError("model file: empty schema")
 
-    # Every line after [config] that starts with "[" opens a tree section.
-    bounds = [pos for pos, line in enumerate(lines[at + 1 :], at + 1) if line[:1] == "["] + [len(lines)]
+    # The config runs to the next section line, which must open [tree 0].
+    end = next((pos for pos in range(at + 1, len(lines)) if lines[pos][:1] == "["), len(lines))
     pairs: dict[str, str] = {}
-    for line in lines[at + 1 : bounds[0]]:
+    for line in lines[at + 1 : end]:
         key, sep, val = line.partition("=")
         if not sep:
             raise DataError(f"model file: bad config line {line!r}")
         pairs[key] = val
     config = _parse_config_lines(pairs)
-    heads = bounds[:-1]
-    for i, pos in enumerate(heads):
-        if i >= config.n_trees or lines[pos] != f"[tree {i}]":
-            raise DataError(f"model file line {pos + 1}: unexpected section {lines[pos]!r}")
-    if len(heads) < config.n_trees:
-        raise DataError(f"model file: truncated, expected [tree {len(heads)}]")
+    if end < len(lines) and lines[end] != "[tree 0]":
+        raise DataError(f"model file line {end + 1}: unexpected section {lines[end]!r}")
+    # Each tree's header is looked up by name; any other "[" line inside a
+    # tree's section is a bad node line to _parse_tree.
+    heads: list[int] = []
+    for i in range(config.n_trees):
+        try:
+            heads.append(lines.index(f"[tree {i}]", heads[-1] + 1 if heads else end))
+        except ValueError:
+            raise DataError(f"model file: truncated, expected [tree {i}]") from None
+    bounds = heads + [len(lines)]
 
     sizes = np.diff(bounds) - 1
     empty = np.flatnonzero(sizes == 0)

@@ -9,7 +9,9 @@ frequency counts); binary lexicons hold 0/1 prior complexity labels.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError, decode_utf8
@@ -72,49 +74,90 @@ def load_lexicon(spec: LexiconSpec, source: IO[bytes] | bytes) -> Lexicon:
 
     Duplicate terms are averaged (continuous) or resolved 1-if-any-1 (binary).
     Non-numeric or non-finite value cells, out-of-{0,1} binary values, short
-    rows and empty terms raise DataError with the line number.
+    rows, empty terms and duplicates whose sum overflows raise DataError
+    naming the first bad line.
+
+    The file is read a column at a time; only a file that fails a check is
+    walked line by line, to find its first bad line.
     """
-    text = decode_utf8(source, f"lexicon {spec.name!r}:")
+    lines = decode_utf8(source, f"lexicon {spec.name!r}:").splitlines()[spec.skip_rows :]
+    columns = _columns(spec, lines)
+    if columns is None:
+        # Walk to the first bad line. The lines before it are valid and are
+        # folded first, as an overflow among them comes earlier in the file.
+        row = next(row for row, line in enumerate(lines) if _line_problem(spec, line))
+        _entries(spec, *_columns(spec, lines[:row]))
+        problem = _line_problem(spec, lines[row])
+        raise DataError(f"lexicon {spec.name!r} line {spec.skip_rows + row + 1}: {problem}")
+    return Lexicon(name=spec.name, kind=spec.kind, entries=_entries(spec, *columns), lowercase=spec.lowercase)
+
+
+def _columns(spec: LexiconSpec, lines: list[str]) -> tuple[list[str], list[float]] | None:
+    """The term and the value of each line, or None when a line has a problem
+    that ``_line_problem`` names."""
+    tabs = list(map(str.count, lines, repeat("\t")))
+    if tabs and min(tabs) < max(spec.term_column, spec.value_column):
+        return None
+    cells = "\t".join(lines).split("\t")
+    starts = list(accumulate((n + 1 for n in tabs), initial=0))[:-1]
+    terms = [cells[start + spec.term_column].strip() for start in starts]
+    if not all(terms):
+        return None
+    if spec.lowercase:
+        terms = list(map(str.lower, terms))
+    try:
+        # + 0.0 turns -0 into 0, as the sum of a term's values does
+        values = [float(cells[start + spec.value_column].strip()) + 0.0 for start in starts]
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, values)) or (spec.kind == BINARY and not set(values) <= {0.0, 1.0}):
+        return None
+    return terms, values
+
+
+def _line_problem(spec: LexiconSpec, line: str) -> str | None:
+    """What makes one line unreadable, or None."""
+    parts = line.split("\t")
     need = max(spec.term_column, spec.value_column) + 1
+    if len(parts) < need:
+        return f"expected at least {need} columns, found {len(parts)}"
+    if not parts[spec.term_column].strip():
+        return "empty term"
+    cell = parts[spec.value_column].strip()
+    try:
+        value = float(cell)
+    except ValueError:
+        return f"non-numeric value {cell!r}"
+    if not math.isfinite(value):
+        return f"non-finite value {cell!r}"
+    if spec.kind == BINARY and value not in (0.0, 1.0):
+        return f"binary value must be 0 or 1, got {cell}"
+    return None
+
+
+def _entries(spec: LexiconSpec, terms: list[str], values: list[float]) -> dict[str, float]:
+    """Each term once, in first-occurrence order. A term on more than one line
+    gets 1 if any of its values is 1 (binary), else the sum of its values in
+    file order, from 0.0, over their count."""
+    entries = dict(zip(terms, values))
+    if len(entries) == len(terms):
+        return entries
+    repeated = {term for term, n in Counter(terms).items() if n > 1}
+    rows = [row for row, term in enumerate(terms) if term in repeated]
+    if spec.kind == BINARY:
+        entries.update((terms[row], 1.0) for row in rows if values[row])
+        return entries
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line_no <= spec.skip_rows:
-            continue
-        parts = line.split("\t")
-        if len(parts) < need:
-            raise DataError(
-                f"lexicon {spec.name!r} line {line_no}: expected at least {need} columns,"
-                f" found {len(parts)}"
-            )
-        term = parts[spec.term_column].strip()
-        if not term:
-            raise DataError(f"lexicon {spec.name!r} line {line_no}: empty term")
-        if spec.lowercase:
-            term = term.lower()
-        cell = parts[spec.value_column].strip()
-        try:
-            value = float(cell)
-        except ValueError:
-            raise DataError(
-                f"lexicon {spec.name!r} line {line_no}: non-numeric value {cell!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise DataError(f"lexicon {spec.name!r} line {line_no}: non-finite value {cell!r}")
-        if spec.kind == BINARY and value not in (0.0, 1.0):
-            raise DataError(
-                f"lexicon {spec.name!r} line {line_no}: binary value must be 0 or 1, got {cell}"
-            )
-        if spec.kind == BINARY:
-            sums[term] = max(sums.get(term, 0.0), value)
-            counts[term] = 1
-        else:
-            sums[term] = sums.get(term, 0.0) + value
-            counts[term] = counts.get(term, 0) + 1
-            if not math.isfinite(sums[term]):
-                raise DataError(f"lexicon {spec.name!r} line {line_no}: the values of {term!r} overflow")
-    entries = {t: sums[t] / counts[t] for t in sums}
-    return Lexicon(name=spec.name, kind=spec.kind, entries=entries, lowercase=spec.lowercase)
+    for row in rows:
+        term = terms[row]
+        sums[term] = sums.get(term, 0.0) + values[row]
+        counts[term] = counts.get(term, 0) + 1
+        if not math.isfinite(sums[term]):
+            line_no = spec.skip_rows + row + 1
+            raise DataError(f"lexicon {spec.name!r} line {line_no}: the values of {term!r} overflow")
+    entries.update((term, sums[term] / counts[term]) for term in sums)
+    return entries
 
 
 def lookup(lex: Lexicon, term: str) -> float | None:

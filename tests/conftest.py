@@ -14,7 +14,8 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from lcpkit.corpus import Instance, parse_dataset
-from lcpkit.lexicons import Lexicon, LexiconRegistry
+from lcpkit.errors import DataError, decode_utf8
+from lcpkit.lexicons import BINARY, Lexicon, LexiconRegistry, LexiconSpec
 
 SUBCORPORA = ("bible", "europarl", "biomed")
 
@@ -75,6 +76,52 @@ def continuous_lexicon(name: str, entries: dict) -> Lexicon:
 
 def binary_lexicon(name: str, entries: dict) -> Lexicon:
     return Lexicon(name=name, kind="binary", entries=dict(entries))
+
+
+def reference_load_lexicon(spec: LexiconSpec, source: bytes) -> dict[str, float]:
+    """The entries ``lexicons.load_lexicon`` must return, read one line at a
+    time: each line's checks in file order, duplicates summed from 0.0 in
+    file order and divided by their count (binary: 1 if any is 1)."""
+    text = decode_utf8(source, f"lexicon {spec.name!r}:")
+    need = max(spec.term_column, spec.value_column) + 1
+    sums: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line_no <= spec.skip_rows:
+            continue
+        parts = line.split("\t")
+        if len(parts) < need:
+            raise DataError(
+                f"lexicon {spec.name!r} line {line_no}: expected at least {need} columns,"
+                f" found {len(parts)}"
+            )
+        term = parts[spec.term_column].strip()
+        if not term:
+            raise DataError(f"lexicon {spec.name!r} line {line_no}: empty term")
+        if spec.lowercase:
+            term = term.lower()
+        cell = parts[spec.value_column].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataError(
+                f"lexicon {spec.name!r} line {line_no}: non-numeric value {cell!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise DataError(f"lexicon {spec.name!r} line {line_no}: non-finite value {cell!r}")
+        if spec.kind == BINARY and value not in (0.0, 1.0):
+            raise DataError(
+                f"lexicon {spec.name!r} line {line_no}: binary value must be 0 or 1, got {cell}"
+            )
+        if spec.kind == BINARY:
+            sums[term] = max(sums.get(term, 0.0), value)
+            counts[term] = 1
+        else:
+            sums[term] = sums.get(term, 0.0) + value
+            counts[term] = counts.get(term, 0) + 1
+            if not math.isfinite(sums[term]):
+                raise DataError(f"lexicon {spec.name!r} line {line_no}: the values of {term!r} overflow")
+    return {t: sums[t] / counts[t] for t in sums}
 
 
 @pytest.fixture

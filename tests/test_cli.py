@@ -348,6 +348,15 @@ class TestPredict:
             f"forest.{f.name}": getattr(model.config, f.name) for f in fields(model.config)
         }
 
+    def test_manifest_leaves_out_the_settings_predict_does_not_use(self, workspace, trained):
+        out = workspace["tmp"] / "pred.tsv"
+        assert run("predict", "--config", workspace["config"], "--model", trained, "--seed", 9,
+                   "--input", workspace["test"], "--output", out, "--quiet") == 0
+        manifest = json.loads((workspace["tmp"] / "pred.tsv.manifest.json").read_text())
+        assert "seed" not in manifest
+        assert sorted({k.split(".")[0] for k in manifest["config"]}) == ["features", "forest", "lexicon", "pos"]
+        assert manifest["config"]["forest.seed"] == 5
+
     def test_pos_model_without_tagger_is_resource_error(self, workspace, capsys):
         model = workspace["tmp"] / "pos.lcpmodel"
         assert run("train", "--config", workspace["config"], "--model", model,
@@ -391,6 +400,20 @@ class TestEvaluate:
         assert "mae=0.000" in out
         assert report.read_text().startswith("| Label | R |")
         assert (workspace["tmp"] / "report.md.manifest.json").exists()
+
+    def test_manifest_records_no_run_settings(self, workspace):
+        pred = workspace["tmp"] / "pred.tsv"
+        gold_lines = workspace["train"].read_text().splitlines()[1:]
+        pred.write_text(
+            "id\tprediction\n" + "\n".join(f"{l.split(chr(9))[0]}\t0.5" for l in gold_lines) + "\n"
+        )
+        report = workspace["tmp"] / "report.md"
+        assert run("evaluate", "--config", workspace["config"], "--pred", pred, "--gold", workspace["train"],
+                   "--report", report, "--quiet") == 0
+        manifest = json.loads((workspace["tmp"] / "report.md.manifest.json").read_text())
+        assert manifest["config"] == {}
+        assert "seed" not in manifest
+        assert sorted(manifest["inputs"]) == sorted([str(pred), str(workspace["train"])])
 
     def test_csv_report(self, workspace):
         pred = workspace["tmp"] / "pred.tsv"

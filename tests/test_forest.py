@@ -688,6 +688,16 @@ class TestPersistence:
         with pytest.raises(DataError):
             load_model(model_text(trees, n_trees))
 
+    @pytest.mark.parametrize("trees,n_trees,match", [
+        pytest.param("[notes]\n[tree 0]\nL 0.5\n", 1, r"line 12: unexpected section '\[notes\]'", id="before-tree-0"),
+        pytest.param("[tree 0]\n[notes]\nL 0.5\n", 1, r"line 13: bad node line '\[notes\]'", id="inside-a-tree"),
+        pytest.param("[tree 0]\nL 0.5\n[tree 1]\nL 0.5\n[tree 0]\n", 2, r"line 16: bad node line '\[tree 0\]'",
+                     id="repeated-header"),
+    ])
+    def test_section_line_where_no_header_is_expected_rejected(self, trees, n_trees, match):
+        with pytest.raises(DataError, match=match):
+            load_model(model_text(trees, n_trees))
+
     def test_tree_section_before_config_rejected(self):
         with pytest.raises(DataError, match=r"missing \[config\]"):
             load_model(model_text("[tree 0]\nL 0.5\n", schema="f0\n[tree 0]\nL 0.5"))

@@ -13,7 +13,7 @@ from lcpkit.lexicons import (
     merge_binary_union,
 )
 
-from conftest import binary_lexicon, continuous_lexicon, lexicon_tsv, tsv_inputs
+from conftest import binary_lexicon, continuous_lexicon, lexicon_tsv, reference_load_lexicon, tsv_inputs
 
 
 def cont_spec(name="test", **kwargs) -> LexiconSpec:
@@ -211,3 +211,96 @@ class TestLoadLexiconFuzz:
         assert all(math.isfinite(v) for v in lex.entries.values())
         if spec.kind == "binary":
             assert set(lex.entries.values()) <= {0.0, 1.0}
+
+
+def assert_loads_as_reference(spec, data) -> dict:
+    """load_lexicon gives the reference's keys in its order with bit-identical
+    values, or raises the reference's DataError word for word."""
+    try:
+        expected = reference_load_lexicon(spec, data)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_lexicon(spec, data)
+        assert str(got.value) == str(exc)
+        return {}
+    entries = load_lexicon(spec, data).entries
+    assert [(t, v.hex()) for t, v in entries.items()] == [(t, v.hex()) for t, v in expected.items()]
+    return expected
+
+
+#: ``LEXICON_TOKENS`` plus a negative zero, case variants of one word, an
+#: upper-case number, non-ASCII words to lower (a final sigma, dotted I,
+#: the Kelvin sign), a value that ``str.strip`` and ``float`` trim
+#: differently (U+001F) and cells holding line breaks that ``splitlines``
+#: cuts at.
+REFERENCE_TOKENS = LEXICON_TOKENS + [
+    b"-0", b"Dog", b"dog", b"1E2", b"\xc3\x89t\xc3\xa9", "ΟΔΟΣ".encode(), "Σ".encode(), "İ".encode(),
+    "\u212a".encode(), b"1\x1f", b" 2\r", b"a\xc2\x85b",
+]
+
+
+class TestLoadMatchesReference:
+    """The column-wise load_lexicon agrees with the row-wise reference in
+    conftest on every input: same entries bit for bit, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        tsv_inputs(VALID_LEXICON, REFERENCE_TOKENS, 4),
+        st.sampled_from(LEXICON_SPECS + [cont_spec(term_column=2, value_column=0)]),
+    )
+    def test_arbitrary_and_mutated_bytes(self, data, spec):
+        assert_loads_as_reference(spec, data)
+
+    @pytest.mark.parametrize(
+        "spec, data, keys",
+        [
+            (cont_spec(), b"Dog\t1\ncat\t0\ndog\t0\nDOG\t1\n", ["dog", "cat"]),
+            (bin_spec(), b"Dog\t1\ncat\t0\ndog\t0\nDOG\t1\n", ["dog", "cat"]),
+            (cont_spec(skip_rows=1, lowercase=False), b"Word\tValue\nDog\t1\ndog\t0\n", ["Dog", "dog"]),
+        ],
+        ids=["continuous", "binary", "cased"],
+    )
+    def test_lowercase_collision(self, spec, data, keys):
+        assert list(assert_loads_as_reference(spec, data)) == keys
+
+    def test_non_ascii_terms_lowered(self):
+        data = "ΟΔΟΣ\t1\nΣ\t2\nΣΑ Σ\t1E1\nİ\t3\n".encode()
+        entries = assert_loads_as_reference(cont_spec(), data)
+        assert entries == {"οδος": 1.0, "σ": 2.0, "σα σ": 10.0, "i\u0307": 3.0}
+        with pytest.raises(DataError, match="line 2: non-finite value 'INFINITY'"):
+            load_lexicon(cont_spec(), "\u212a\t1\n\u212a\tINFINITY\n".encode())
+
+    def test_ragged_rows_with_extra_columns(self):
+        data = b"dog\t2.5\tx\ncat\t1\nowl\t3\ta\tb\tc\ndog\t0.5\n"
+        assert assert_loads_as_reference(cont_spec(), data) == {"dog": 1.5, "cat": 1.0, "owl": 3.0}
+
+    def test_ragged_rows_custom_columns(self):
+        data = b"2.5\tx\tdog\n1\ty\tcat\tz\n"
+        spec = cont_spec(term_column=2, value_column=0)
+        assert assert_loads_as_reference(spec, data) == {"dog": 2.5, "cat": 1.0}
+
+    def test_header_row_skipped(self):
+        data = b"Word\tRating\tMore\ndog\t2.0\n"
+        assert assert_loads_as_reference(cont_spec(skip_rows=1), data) == {"dog": 2.0}
+
+    @pytest.mark.parametrize("spec", [cont_spec(), bin_spec()], ids=["continuous", "binary"])
+    def test_negative_zero_loads_as_zero(self, spec):
+        entries = assert_loads_as_reference(spec, b"dog\t-0\ncat\t-0.0\ncat\t0\n")
+        assert [v.hex() for v in entries.values()] == [(0.0).hex()] * 2
+
+    def test_duplicate_sum_overflow_names_its_line(self):
+        data = b"dog\t1e308\ncat\t1\ndog\t1e308\ndog\t-1e308\nowl\tx\n"
+        assert_loads_as_reference(cont_spec(), data)
+        with pytest.raises(DataError, match="lexicon 'test' line 3: the values of 'dog' overflow"):
+            load_lexicon(cont_spec(), data)
+
+    def test_first_bad_line_is_named(self):
+        data = b"dog\t1\ncat\t2\n \t3\nowl\t4\nshort\n"
+        assert_loads_as_reference(cont_spec(), data)
+        with pytest.raises(DataError, match="lexicon 'test' line 3: empty term"):
+            load_lexicon(cont_spec(), data)
+
+    @pytest.mark.parametrize("spec", LEXICON_SPECS, ids=["continuous", "binary", "header-cased"])
+    def test_empty_file(self, spec):
+        assert assert_loads_as_reference(spec, b"") == {}
+        assert load_lexicon(spec, b"").source_count == 0
