@@ -3,8 +3,8 @@
 A run is described by an INI-style config file (sections below) which every
 flag can override; flags win. All output files are written byte-stably so a
 repeated run with identical inputs, flags and seed reproduces them exactly.
-A run manifest (config snapshot, input file hashes, seed) is written next to
-every model and report.
+A run manifest (config snapshot, the hash of each input's bytes as the run
+read them, seed) is written next to every model and report.
 
 Config grammar::
 
@@ -76,7 +76,8 @@ class UsageError(LcpkitError):
 
 @dataclass
 class RunConfig:
-    """The settings a run uses, as the config file and the flags resolve them."""
+    """The settings a run uses, as the config file and the flags resolve them,
+    and the inputs it read."""
 
     train_path: str | None = None
     dev_fraction: float = 0.2
@@ -89,6 +90,9 @@ class RunConfig:
     forest: ForestConfig = field(default_factory=ForestConfig)
     lexicons: dict[str, LexiconSpec] = field(default_factory=dict)
     pos_lexicon: str | None = None
+    #: a record, not a setting: the hash of each input file the run read,
+    #: by path as given, of exactly the bytes it read (``_read_input``)
+    inputs: dict[str, str] = field(default_factory=dict)
 
     def feature_config(self) -> FeatureConfig:
         if self.preset is None and "enabled" in self.features:
@@ -123,23 +127,14 @@ def _parse_str(raw: str, where: str) -> str:
     return raw
 
 
-def parse_enabled_list(raw: str) -> frozenset[str]:
-    families = frozenset(f.strip() for f in raw.split(",") if f.strip())
-    if not families:
-        raise DataError("feature list is empty")
-    unknown = families - set(FEATURE_FAMILIES)
-    if unknown:
-        raise DataError(f"unknown feature families: {sorted(unknown)}")
-    return families
-
-
 #: Parser of a config value, by the annotation of the field it sets.
 _PARSERS = {
     "str": _parse_str,
     "int": _parse_int,
     "bool": _parse_bool,
     "int | None": lambda raw, where: None if raw.lower() == "none" else _parse_int(raw, where),
-    "frozenset[str]": lambda raw, where: parse_enabled_list(raw),
+    # FeatureConfig checks the names, as it does those of a preset
+    "frozenset[str]": lambda raw, where: frozenset(f.strip() for f in raw.split(",") if f.strip()),
 }
 
 #: Every ``[section] key`` of the run config: the RunConfig attribute it sets
@@ -252,6 +247,13 @@ def _read_file(path: str, what: str) -> bytes:
         raise ResourceError(f"cannot read {what} {path}: {exc}") from None
 
 
+def _read_input(cfg: RunConfig, path: str, what: str) -> bytes:
+    """The bytes of input ``path``, whose hash ``cfg.inputs`` records."""
+    data = _read_file(path, what)
+    cfg.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    return data
+
+
 def _write_file(path: Path, data: bytes, what: str) -> None:
     try:
         path.write_bytes(data)
@@ -259,30 +261,20 @@ def _write_file(path: Path, data: bytes, what: str) -> None:
         raise ResourceError(f"cannot write {what}: {exc}") from None
 
 
-def load_resources(
-    cfg: RunConfig, feature_config: FeatureConfig
-) -> tuple[LexiconRegistry, LexiconTagger | None, list[str]]:
-    """The lexicons and the POS tagger that the enabled families read, and
-    the files they came from."""
+def load_resources(cfg: RunConfig, feature_config: FeatureConfig) -> tuple[LexiconRegistry, LexiconTagger | None]:
+    """The lexicons and the POS tagger that the enabled families read."""
     registry = LexiconRegistry()
-    paths = []
     for name in lexicon_names(feature_config, cfg.lexicons):
         spec = cfg.lexicons[name]
-        registry.add(load_lexicon(spec, _read_file(spec.path, f"lexicon {name!r}")))
-        paths.append(spec.path)
+        registry.add(load_lexicon(spec, _read_input(cfg, spec.path, f"lexicon {name!r}")))
     tagger = None
     if "pos" in feature_config.enabled and cfg.pos_lexicon is not None:
-        tagger = LexiconTagger.load(_read_file(cfg.pos_lexicon, "pos lexicon"))
-        paths.append(cfg.pos_lexicon)
-    return registry, tagger, paths
+        tagger = LexiconTagger.load(_read_input(cfg, cfg.pos_lexicon, "pos lexicon"))
+    return registry, tagger
 
 
 # ---------------------------------------------------------------------------
 # Manifest
-
-
-def _sha256(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 #: The config sections whose settings each command uses; its manifest
@@ -316,20 +308,12 @@ def _config_snapshot(cfg: RunConfig, sections: tuple[str, ...]) -> dict:
     return snap
 
 
-def write_manifest(
-    out_path: Path, command: str, cfg: RunConfig, input_paths: list[str], outputs: list[str]
-) -> None:
-    inputs = {}
-    for p in input_paths:
-        try:
-            inputs[p] = _sha256(Path(p).read_bytes())
-        except OSError:
-            inputs[p] = None
+def write_manifest(out_path: Path, command: str, cfg: RunConfig, outputs: list[str]) -> None:
     doc = {
         "version": 1,
         "command": command,
         "config": _config_snapshot(cfg, _READS[command]),
-        "inputs": inputs,
+        "inputs": cfg.inputs,
         "outputs": outputs,
     }
     if "run" in _READS[command]:
@@ -365,18 +349,18 @@ def _require(value, flag: str):
 
 
 def _load_training(cfg: RunConfig, train_path: str, feature_config: FeatureConfig):
-    """The train/dev split of the training dataset, the lexicons and the POS
-    tagger that ``feature_config`` reads, and every file they came from."""
-    instances = parse_dataset(_read_file(train_path, "training dataset"), has_gold=True)
+    """The train/dev split of the training dataset, and the lexicons and the
+    POS tagger that ``feature_config`` reads."""
+    instances = parse_dataset(_read_input(cfg, train_path, "training dataset"), has_gold=True)
     split = split_train_dev(instances, cfg.dev_fraction, cfg.seed)
-    registry, tagger, resources = load_resources(cfg, feature_config)
-    return split, registry, tagger, [train_path, *resources]
+    registry, tagger = load_resources(cfg, feature_config)
+    return split, registry, tagger
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
     train_path = _require(cfg.train_path, "--train")
     feature_config = cfg.feature_config()
-    split, registry, tagger, inputs = _load_training(cfg, train_path, feature_config)
+    split, registry, tagger = _load_training(cfg, train_path, feature_config)
     result = fit_and_evaluate(
         split,
         registry,
@@ -392,7 +376,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     _write_file(model_path, model_bytes.getvalue(), "model output")
     schema_path = model_path.with_name(model_path.name + ".schema.json")
     _write_file(schema_path, result.schema.to_json().encode("utf-8"), "model output")
-    write_manifest(model_path, "train", cfg, inputs, [model_path.name, schema_path.name])
+    write_manifest(model_path, "train", cfg, [model_path.name, schema_path.name])
     _say(args, f"model written to {model_path}")
     if result.report is not None:
         _say(args, f"{cfg.eval_on} metrics: {_metrics_line(result.report)}")
@@ -400,25 +384,23 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_predict(args, cfg: RunConfig) -> int:
-    model_bytes = _read_file(args.model, "model file")
-    model = load_model(model_bytes)
+    model = load_model(_read_input(cfg, args.model, "model file"))
     schema_path = args.schema or args.model + ".schema.json"
-    schema = FeatureSchema.from_json(_read_file(schema_path, "schema file"))
+    schema = FeatureSchema.from_json(_read_input(cfg, schema_path, "schema file"))
     # The model's own feature and forest settings replace the run config's,
     # so the manifest records what ran.
     cfg.preset = None
     cfg.features = asdict(schema.config)
     cfg.forest = model.config
-    registry, tagger, resources = load_resources(cfg, schema.config)
-    instances = parse_dataset(_read_file(args.input, "input dataset"), has_gold=False)
+    registry, tagger = load_resources(cfg, schema.config)
+    instances = parse_dataset(_read_input(cfg, args.input, "input dataset"), has_gold=False)
     scores = predict_scores(instances, schema, model, registry, tagger)
     lines = ["id\tprediction\tband"]
     for inst, score in zip(instances, scores):
         lines.append(f"{inst.id}\t{score:.3f}\t{band_of(float(score)).value}")
     out_path = Path(args.output)
     _write_file(out_path, ("\n".join(lines) + "\n").encode("utf-8"), "predictions")
-    inputs = [args.model, schema_path, args.input, *resources]
-    write_manifest(out_path, "predict", cfg, inputs, [out_path.name])
+    write_manifest(out_path, "predict", cfg, [out_path.name])
     _say(args, f"{len(instances)} predictions written to {out_path}")
     return 0
 
@@ -451,8 +433,8 @@ def _parse_predictions(data: bytes, path: str) -> dict[str, float]:
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     # A bad feature preset fails here, before any output, as in the commands that fit.
     cfg.feature_config()
-    predictions = _parse_predictions(_read_file(args.pred, "predictions file"), args.pred)
-    gold_instances = parse_dataset(_read_file(args.gold, "gold dataset"), has_gold=True)
+    predictions = _parse_predictions(_read_input(cfg, args.pred, "predictions file"), args.pred)
+    gold_instances = parse_dataset(_read_input(cfg, args.gold, "gold dataset"), has_gold=True)
     labeled = [inst for inst in gold_instances if inst.gold is not None]
     if not labeled:
         raise DataError(f"gold dataset {args.gold} contains no labeled instances")
@@ -468,7 +450,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         text = render_report([AblationRow("evaluation", report)], args.format)
         report_path = Path(args.report)
         _write_file(report_path, text.encode("utf-8"), "report")
-        write_manifest(report_path, "evaluate", cfg, [args.pred, args.gold], [report_path.name])
+        write_manifest(report_path, "evaluate", cfg, [report_path.name])
     return 0
 
 
@@ -476,7 +458,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     train_path = _require(cfg.train_path, "--train")
     candidates = [c.strip() for c in args.candidates.split(",") if c.strip()]
     baseline = cfg.feature_config()
-    split, registry, tagger, inputs = _load_training(cfg, train_path, with_families(baseline, *candidates))
+    split, registry, tagger = _load_training(cfg, train_path, with_families(baseline, *candidates))
     rows = run_ablation(
         split,
         registry,
@@ -490,7 +472,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     text = render_report(rows, args.format)
     report_path = Path(args.report)
     _write_file(report_path, text.encode("utf-8"), "report")
-    write_manifest(report_path, "ablate", cfg, inputs, [report_path.name])
+    write_manifest(report_path, "ablate", cfg, [report_path.name])
     for row in rows:
         _say(args, f"{row.label}: {_metrics_line(row.report)}")
     return 0

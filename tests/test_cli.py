@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
 from dataclasses import fields
@@ -245,12 +247,39 @@ class TestTrain:
         ("[forest]\nn_trees = 0\n", "[forest]"),
         ("[features]\ntrigram_min_count = 0\n", "[features]"),
         ("[features]\nfrequency_source = nope\n", "[features]"),
+        ("[features]\nenabled = bogus\n", "[features]"),
+        ("[features]\nenabled = ,\n", "[features]"),
+        ("[lexicon: ]\npath = x.tsv\n", "[lexicon: ]"),
     ])
     def test_config_value_error_is_data_error_naming_section(self, tmp_path, text, section):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         with pytest.raises(DataError, match=re.escape(f"config section {section}")):
             load_run_config(str(cfg))
+
+    def test_unknown_config_section_is_data_error(self, tmp_path):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text("[fores]\nn_trees = 3\n")
+        with pytest.raises(DataError, match=re.escape(f"config file {cfg}: unknown section [fores]")):
+            load_run_config(str(cfg))
+
+    @pytest.mark.parametrize("raw,value", [("true", True), ("TRUE", True), ("Off", False)])
+    def test_boolean_config_values(self, tmp_path, raw, value):
+        cfg = tmp_path / "bool.ini"
+        cfg.write_text(f"[forest]\nbootstrap = {raw}\n\n[lexicon:x]\npath = x.tsv\nlowercase = {raw}\n")
+        loaded = load_run_config(str(cfg))
+        assert (loaded.forest.bootstrap, loaded.lexicons["x"].lowercase) == (value, value)
+
+    @pytest.mark.parametrize("families,message", [
+        ("bogus", "unknown feature families: ['bogus']"),
+        (" , ", "at least one feature family must be enabled"),
+    ])
+    def test_bad_feature_list_flag_is_refused_before_any_input(self, workspace, families, message, capsys):
+        # the dataset does not exist: the feature list is checked before any input is read
+        code = run("train", "--config", workspace["config"], "--train", workspace["tmp"] / "missing.tsv",
+                   "--model", workspace["tmp"] / "m.lcpmodel", "--features", families)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_config_preset_is_checked_where_it_is_used(self, tmp_path):
         # a --preset flag may replace a bad preset from the config file
@@ -357,6 +386,24 @@ class TestPredict:
         assert sorted({k.split(".")[0] for k in manifest["config"]}) == ["features", "forest", "lexicon", "pos"]
         assert manifest["config"]["forest.seed"] == 5
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_manifest_hashes_the_bytes_read_from_a_pipe(self, workspace, trained):
+        data = workspace["test"].read_bytes()
+        read_end, write_end = os.pipe()
+        try:
+            assert os.write(write_end, data) == len(data)
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            out = workspace["tmp"] / "pred.tsv"
+            assert run("predict", "--config", workspace["config"], "--model", trained,
+                       "--input", path, "--output", out, "--quiet") == 0
+        finally:
+            os.close(read_end)
+        assert len(out.read_text().splitlines()) == 16
+        manifest = json.loads((workspace["tmp"] / "pred.tsv.manifest.json").read_text())
+        # the pipe is empty once read: a second read would hash no bytes
+        assert manifest["inputs"][path] == "sha256:" + hashlib.sha256(data).hexdigest()
+
     def test_pos_model_without_tagger_is_resource_error(self, workspace, capsys):
         model = workspace["tmp"] / "pos.lcpmodel"
         assert run("train", "--config", workspace["config"], "--model", model,
@@ -414,6 +461,18 @@ class TestEvaluate:
         assert manifest["config"] == {}
         assert "seed" not in manifest
         assert sorted(manifest["inputs"]) == sorted([str(pred), str(workspace["train"])])
+
+    def test_manifest_hashes_the_predictions_read_not_the_report_written(self, workspace):
+        pred = workspace["tmp"] / "pred.tsv"
+        gold_lines = workspace["train"].read_text().splitlines()[1:]
+        pred.write_text(
+            "id\tprediction\n" + "\n".join(f"{l.split(chr(9))[0]}\t0.5" for l in gold_lines) + "\n"
+        )
+        data = pred.read_bytes()
+        assert run("evaluate", "--pred", pred, "--gold", workspace["train"], "--report", pred, "--quiet") == 0
+        assert pred.read_text().startswith("| Label | R |")
+        manifest = json.loads((workspace["tmp"] / "pred.tsv.manifest.json").read_text())
+        assert manifest["inputs"][str(pred)] == "sha256:" + hashlib.sha256(data).hexdigest()
 
     def test_csv_report(self, workspace):
         pred = workspace["tmp"] / "pred.tsv"

@@ -55,6 +55,11 @@ class TestParse:
         with pytest.raises(DataError, match="line 2"):
             parse_dataset(data, has_gold=True)
 
+    def test_blank_token_names_line(self):
+        data = dataset_tsv([("x1", "bible", "a cat sat", " ", "0.5")])
+        with pytest.raises(DataError, match=r"^line 2: id 'x1' has an empty token$"):
+            parse_dataset(data, has_gold=True)
+
     def test_duplicate_id_rejected(self):
         rows = [("d1", "bible", "a cat sat", "cat", "0.1"), ("d1", "bible", "a dog sat", "dog", "0.2")]
         with pytest.raises(DataError, match="duplicate id"):

@@ -301,8 +301,9 @@ def split_problems(draw):
     """Rows of a few "tokens" that share their binary and few-valued columns,
     like n-gram indicators, so that columns often cut a node alike; plus
     many-valued, duplicated and constant columns. Targets follow the token
-    on a 1/40 grid (near-ties), around 1e6 (large offset) or with both signs
-    over several magnitudes."""
+    on a 1/40 grid (near-ties), around 1e6 (large offset), with both signs
+    over several magnitudes, or scaled by 2**-420 or 2**420, where the screen
+    hands every node to the full search."""
     n = draw(st.integers(2, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_tokens = draw(st.integers(2, 8))
@@ -323,13 +324,15 @@ def split_problems(draw):
             column = np.full(n, 2.0)
         columns.append(column)
     grid = np.round(np.clip(rng.random(n_tokens)[token] + rng.normal(0, 0.1, size=n), 0, 1) * 40) / 40
-    target = draw(st.sampled_from(["grid", "offset", "signed"]))
+    target = draw(st.sampled_from(["grid", "offset", "signed", "tiny", "huge"]))
     if target == "grid":
         y = grid
     elif target == "offset":
         y = 1e6 + grid + rng.normal(0, 1e-9, size=n)
-    else:
+    elif target == "signed":
         y = (grid - 0.5) * 10.0 ** rng.uniform(-3, 3)
+    else:
+        y = grid * 2.0 ** (-420 if target == "tiny" else 420)
     config = ForestConfig(
         n_trees=draw(st.integers(1, 2)),
         max_features_per_split=draw(st.integers(1, len(columns) + 1)),
@@ -384,6 +387,30 @@ class TestScreenedSearch:
         with mock.patch.object(forest_module._Screen, "split", full_search):
             full = fit(X, y, config)
         assert model_sha256(screened) == model_sha256(full)
+
+    @pytest.mark.parametrize("scale", [2.0**-420, 2.0**420], ids=["tiny", "huge"])
+    def test_targets_outside_the_trusted_range_verify_every_sampled_feature(self, scale):
+        # the screen's bound is trusted only for max |y| in [2**-400, 2**400]
+        rng = np.random.default_rng(8)
+        X = np.column_stack([rng.random((60, 3)) < 0.5, rng.integers(0, 4, size=60), rng.normal(size=60)])
+        y = np.round(rng.random(60) * 40) / 40 * scale
+        sampled, calls = [], []
+        real_split, real_best_split = forest_module._Screen.split, forest_module._best_split
+
+        def split(screen, idx, ysub, feats, *rest):
+            sampled.append(feats)
+            return real_split(screen, idx, ysub, feats, *rest)
+
+        def best_split(X, y, idx, feats, min_samples_leaf):
+            calls.append((sampled[-1], feats))
+            return real_best_split(X, y, idx, feats, min_samples_leaf)
+
+        with mock.patch.object(forest_module._Screen, "split", split), \
+                mock.patch.object(forest_module, "_best_split", best_split):
+            fit(X, y, ForestConfig(n_trees=2, max_features_per_split=3, seed=1))
+        assert calls
+        for feats, verified in calls:
+            assert np.array_equal(np.sort(feats), verified)
 
     @pytest.mark.parametrize(
         "config,sha",
@@ -697,6 +724,16 @@ class TestPersistence:
     def test_section_line_where_no_header_is_expected_rejected(self, trees, n_trees, match):
         with pytest.raises(DataError, match=match):
             load_model(model_text(trees, n_trees))
+
+    def test_bad_config_value_rejected(self):
+        with pytest.raises(DataError, match=r"^model file: bad config value: .*'x'$"):
+            load_model(model_text("[tree 0]\nL 0.5\n", n_trees="x"))
+
+    def test_empty_schema_rejected(self):
+        text = model_text("[tree 0]\nL 0.5\n")
+        assert load_model(text).feature_names == ["f0"]
+        with pytest.raises(DataError, match="^model file: empty schema$"):
+            load_model(text.replace(b"[schema]\nf0\n", b"[schema]\n"))
 
     def test_tree_section_before_config_rejected(self):
         with pytest.raises(DataError, match=r"missing \[config\]"):
