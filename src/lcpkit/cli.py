@@ -59,11 +59,10 @@ from .features import (
     FeatureSchema,
     LexiconTagger,
     lexicon_names,
-    with_families,
 )
 from .forest import ForestConfig, load_model, save_model
 from .lexicons import LexiconRegistry, LexiconSpec, coverage, load_lexicon
-from .pipeline import EVAL_SIDES, fit_and_evaluate, predict_scores, run_ablation
+from .pipeline import EVAL_SIDES, ablation_features, fit_and_evaluate, predict_scores, run_ablation
 
 
 class UsageError(LcpkitError):
@@ -458,7 +457,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     train_path = _require(cfg.train_path, "--train")
     candidates = [c.strip() for c in args.candidates.split(",") if c.strip()]
     baseline = cfg.feature_config()
-    split, registry, tagger = _load_training(cfg, train_path, with_families(baseline, *candidates))
+    split, registry, tagger = _load_training(cfg, train_path, ablation_features(baseline, candidates))
     rows = run_ablation(
         split,
         registry,

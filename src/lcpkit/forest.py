@@ -537,14 +537,14 @@ def _leaves(nodes: Tree, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
         # of ``out`` that mode="raise" makes. A leaf's -1 feature reads some
         # finite cell, which is never above its +inf threshold.
         for _ in range(_LEVELS_PER_CHECK):
-            np.take(feature, node, out=i, mode="wrap")
+            feature.take(node, out=i, mode="wrap")
             np.add(i, offset, out=a)
-            np.take(flat, a, out=xv, mode="wrap")
-            np.take(threshold, node, out=tv, mode="wrap")
+            flat.take(a, out=xv, mode="wrap")
+            threshold.take(node, out=tv, mode="wrap")
             np.greater(xv, tv, out=rv)
             np.add(node, node, out=a)
             np.add(a, rv, out=a)
-            np.take(child, a, out=i, mode="wrap")
+            child.take(a, out=i, mode="wrap")
             np.add(i, root, out=node)  # children are numbered within their tree
 
 
@@ -608,27 +608,14 @@ def _parse_config_lines(pairs: dict[str, str]) -> ForestConfig:
         raise DataError(f"model file: bad config value: {exc}") from None
 
 
-def _parse_tree(lines: list[str], i: int, first: int, d: int, out: Tree) -> None:
-    """Check the node lines of section ``[tree i]``, the first of them at file
-    line index ``first``, and write the tree into ``out``.
+def _put_tree(out: Tree, i: int, first: int, d: int, split, feature, threshold, left, right, value) -> None:
+    """Check the parsed nodes of section ``[tree i]``, the first of them at
+    file line index ``first``, and write the tree into ``out``.
 
-    A node line is ``L value`` or ``N feature threshold left right``.
+    ``split`` marks the section's ``N`` lines; ``feature``, ``threshold``,
+    ``left`` and ``right`` are theirs and ``value`` is the ``L`` lines'.
     """
-    n = len(lines)
-    widths = np.fromiter(map(str.count, lines, repeat(" ")), np.intp, n) + 1
-    tokens = np.array(" ".join(lines).split(" "), dtype=object)
-    starts = np.cumsum(widths) - widths
-    leaf = (tokens[starts] == "L") & (widths == 2)
-    split = (tokens[starts] == "N") & (widths == 5)
-    bad = np.flatnonzero(~(leaf | split))
-    if bad.size:
-        raise DataError(f"model file line {first + bad[0] + 1}: bad node line {lines[bad[0]]!r}")
-    try:
-        feature, left, right = (np.fromiter(map(int, tokens[starts[split] + k]), np.int64) for k in (1, 3, 4))
-        threshold = np.fromiter(map(float, tokens[starts[split] + 2]), np.float64)
-        value = np.fromiter(map(float, tokens[starts[leaf] + 1]), np.float64)
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"model file: [tree {i}] has a bad node line: {exc}") from None
+    n = split.size
     ids = np.flatnonzero(split)
     bad = np.flatnonzero((feature < 0) | (feature >= d))
     if bad.size:
@@ -653,18 +640,99 @@ def _parse_tree(lines: list[str], i: int, first: int, d: int, out: Tree) -> None
             f"model file: [tree {i}] node {ids[bad[0]]} has left child {left[bad[0]]}, not the next node;"
             " nodes must be in pre-order"
         )
-    out.feature[:] = -1
-    out.threshold[:] = np.inf
-    out.child[:] = np.arange(n)[:, None]
-    out.value[:] = 0.0
-    out.feature[split], out.threshold[split], out.left[split], out.right[split] = feature, threshold, left, right
-    out.value[leaf] = value
+    out.feature[:], out.threshold[:], out.value[:] = -1, np.inf, 0.0
+    out.left[:] = out.right[:] = np.arange(n)
+    out.feature[ids], out.threshold[ids], out.left[ids], out.right[ids] = feature, threshold, left, right
+    out.value[~split] = value
 
 
-def load_model(source: IO[bytes] | bytes) -> RandomForest:
-    """Parse a model stream produced by save_model. Raises DataError on any
-    format violation (bad magic, version mismatch, truncation, bad indices)."""
-    lines = decode_utf8(source, "model file:").splitlines()
+def _parse_tree(lines: list[str], i: int, first: int) -> tuple:
+    """The nodes of the lines of section ``[tree i]``, the first of them at
+    file line index ``first``, as ``_put_tree`` takes them.
+
+    A node line is ``L value`` or ``N feature threshold left right``.
+    """
+    n = len(lines)
+    widths = np.fromiter(map(str.count, lines, repeat(" ")), np.intp, n) + 1
+    tokens = np.array(" ".join(lines).split(" "), dtype=object)
+    starts = np.cumsum(widths) - widths
+    leaf = (tokens[starts] == "L") & (widths == 2)
+    split = (tokens[starts] == "N") & (widths == 5)
+    bad = np.flatnonzero(~(leaf | split))
+    if bad.size:
+        raise DataError(f"model file line {first + bad[0] + 1}: bad node line {lines[bad[0]]!r}")
+    try:
+        feature, left, right = (np.fromiter(map(int, tokens[starts[split] + k]), np.int64) for k in (1, 3, 4))
+        threshold = np.fromiter(map(float, tokens[starts[split] + 2]), np.float64)
+        value = np.fromiter(map(float, tokens[starts[leaf] + 1]), np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"model file: [tree {i}] has a bad node line: {exc}") from None
+    return split, feature, threshold, left, right, value
+
+
+#: The bytes of the node lines save_model writes, the only ones ``_read_tree`` reads.
+_TREE_BYTES = b"0123456789.e+-NL \n"
+#: The longest integer ``_read_tree`` reads, in digits: far from int64's limit.
+_MAX_DIGITS = 9
+#: The integer tokens of an ``N`` line, after its first: feature, left, right.
+_INT_TOKENS = np.array([1, 3, 4])
+
+
+def _read_tree(text: bytes) -> tuple | None:
+    """The nodes of a tree section's bytes, each line ending in ``\\n``, read
+    from the bytes themselves: what ``_parse_tree`` returns for the same
+    lines, or None for a section it might read differently. That is one with
+    a byte outside ``_TREE_BYTES``, a line of neither node form, an integer
+    that is not 1 to ``_MAX_DIGITS`` ASCII digits or a number ``float``
+    refuses."""
+    if text.translate(None, _TREE_BYTES):
+        return None
+    sec = np.frombuffer(text, np.uint8)
+    # Token k ends at sep[k], a space or the newline that ends its line.
+    sep = np.flatnonzero(sec <= ord(" "))
+    last = np.flatnonzero(sec[sep] == ord("\n"))  # each line's last token
+    first = np.concatenate([[0], last[:-1] + 1])
+    starts = np.concatenate([[0], sep[last[:-1]] + 1])  # each line's first byte
+    split = last - first == 4
+    if not ((split | (last - first == 1)).all() and (sec[starts] == np.where(split, ord("N"), ord("L"))).all()):
+        return None
+    # Feature, left and right of each N line, a digit at a time; every byte
+    # but those of the numbers float reads becomes a space in ``blank``.
+    blank = sec.copy()
+    blank[starts] = ord(" ")
+    token = first[split, None] + _INT_TOKENS
+    end = sep[token]
+    start = sep[token - 1] + 1
+    width = end - start
+    if not ((width >= 1) & (width <= _MAX_DIGITS)).all():
+        return None
+    ints = np.zeros(token.shape, np.int64)
+    digits = 0
+    for place in range(int(width.max(initial=0))):
+        # past a token's end ``at`` stays on the space or newline after it,
+        # so a token is all digits when ``width`` of its bytes read as one
+        at = np.minimum(start + place, end)
+        digit = sec[at] - np.uint8(ord("0"))
+        live = digit <= 9
+        digits += np.count_nonzero(live)
+        ints = np.where(live, ints * 10 + digit, ints)
+        blank[at] = ord(" ")
+    if digits != width.sum():
+        return None
+    feature, left, right = ints.T
+    words = blank.tobytes().split()
+    if len(words) != split.size:  # a number left empty, or a first token of more than "N" or "L"
+        return None
+    try:
+        number = np.fromiter(map(float, words), np.float64, len(words))
+    except ValueError:
+        return None
+    return split, feature, number[split], left, right, number[~split]
+
+
+def _parse_head(lines: list[str]) -> tuple[list[str], ForestConfig, int]:
+    """The schema and the config of a model file's lines, and the index of
+    the line that ends the config, which must open ``[tree 0]``."""
     if not lines:
         raise DataError("model file: empty stream")
     head = lines[0].split(" ")
@@ -695,6 +763,22 @@ def load_model(source: IO[bytes] | bytes) -> RandomForest:
     config = _parse_config_lines(pairs)
     if end < len(lines) and lines[end] != "[tree 0]":
         raise DataError(f"model file line {end + 1}: unexpected section {lines[end]!r}")
+    return names, config, end
+
+
+def _node_table(sizes: np.ndarray) -> tuple[Tree, np.ndarray]:
+    """An unfilled table for trees of ``sizes`` nodes, and their roots."""
+    total = int(sizes.sum())
+    table = Tree.of_table(np.empty(total, np.int32), np.empty(total), np.empty((total, 2), np.int32), np.empty(total))
+    return table, np.cumsum(sizes) - sizes
+
+
+def _load_lines(data: bytes) -> RandomForest:
+    """The model in ``data``, read line by line and token by token: the
+    reader of every file ``_load_bytes`` does not read, and so of every
+    error."""
+    lines = decode_utf8(data, "model file:").splitlines()
+    names, config, end = _parse_head(lines)
     # Each tree's header is looked up by name; any other "[" line inside a
     # tree's section is a bad node line to _parse_tree.
     heads: list[int] = []
@@ -703,15 +787,67 @@ def load_model(source: IO[bytes] | bytes) -> RandomForest:
             heads.append(lines.index(f"[tree {i}]", heads[-1] + 1 if heads else end))
         except ValueError:
             raise DataError(f"model file: truncated, expected [tree {i}]") from None
-    bounds = heads + [len(lines)]
-
-    sizes = np.diff(bounds) - 1
+    sizes = np.diff([*heads, len(lines)]) - 1
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         raise DataError(f"model file: [tree {empty[0]}] has no nodes")
-    roots = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
-    nodes = Tree.of_table(np.empty(total, np.int32), np.empty(total), np.empty((total, 2), np.int32), np.empty(total))
+    nodes, roots = _node_table(sizes)
     for i, (pos, root, size) in enumerate(zip(heads, roots.tolist(), sizes.tolist())):
-        _parse_tree(lines[pos + 1 : pos + 1 + size], i, pos + 1, len(names), nodes.part(root, root + size))
+        tree = _parse_tree(lines[pos + 1 : pos + 1 + size], i, pos + 1)
+        _put_tree(nodes.part(root, root + size), i, pos + 1, len(names), *tree)
     return RandomForest(nodes, roots, config, names)
+
+
+def _load_bytes(data: bytes) -> RandomForest | None:
+    """The model in ``data``, read a tree section at a time from its bytes
+    (see ``_read_tree``), or None for a file this reader does not take: one
+    whose head ``_parse_head`` refuses or that does not hold every
+    ``[tree i]`` line, a section ``_read_tree`` does not read, or a tree
+    that fails a check. For any other file it returns what ``_load_lines``
+    does."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    start = data.find(b"\n[tree 0]\n") + 1
+    if not start:
+        return None
+    try:
+        # the text's lines before [tree 0]: a line break ends the head
+        head = data[:start].decode("utf-8").splitlines()
+        names, config, end = _parse_head([*head, "[tree 0]"])
+    except (UnicodeDecodeError, DataError):
+        return None
+    if end != len(head):
+        return None
+    heads = [start]
+    for i in range(1, config.n_trees):
+        heads.append(data.find(b"\n[tree %d]\n" % i, heads[-1]) + 1)
+        if not heads[-1]:
+            return None
+    # tree i's node lines run from the end of its header line to the next header
+    begins = [pos + len(b"[tree %d]\n" % i) for i, pos in enumerate(heads)]
+    stops = [*heads[1:], len(data)]
+    sizes = np.array([data.count(b"\n", begin, stop) for begin, stop in zip(begins, stops)])
+    if not sizes.all():
+        return None
+    nodes, roots = _node_table(sizes)
+    for i, (begin, stop, root, size) in enumerate(zip(begins, stops, roots.tolist(), sizes.tolist())):
+        tree = _read_tree(data[begin:stop])
+        if tree is None:
+            return None
+        try:
+            _put_tree(nodes.part(root, root + size), i, len(head) + i + root + 1, len(names), *tree)
+        except DataError:
+            return None
+    return RandomForest(nodes, roots, config, names)
+
+
+def load_model(source: IO[bytes] | bytes) -> RandomForest:
+    """Parse a model stream produced by save_model. Raises DataError on any
+    format violation (bad magic, version mismatch, truncation, bad indices).
+
+    The file is read a tree at a time from its bytes; only a file that
+    reader does not take, non-canonical or invalid, is read token by token.
+    """
+    data = source if isinstance(source, (bytes, bytearray)) else source.read()
+    model = _load_bytes(bytes(data))
+    return model if model is not None else _load_lines(data)

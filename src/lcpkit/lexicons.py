@@ -96,18 +96,29 @@ def _columns(spec: LexiconSpec, lines: list[str]) -> tuple[list[str], list[float
     """The term and the value of each line, or None when a line has a problem
     that ``_line_problem`` names."""
     tabs = list(map(str.count, lines, repeat("\t")))
-    if tabs and min(tabs) < max(spec.term_column, spec.value_column):
+    if not tabs:
+        return [], []
+    fewest = min(tabs)
+    if fewest < max(spec.term_column, spec.value_column):
         return None
     cells = "\t".join(lines).split("\t")
-    starts = list(accumulate((n + 1 for n in tabs), initial=0))[:-1]
-    terms = [cells[start + spec.term_column].strip() for start in starts]
+    if fewest == max(tabs):
+        # as many cells on every line: a column is every ``width``-th cell
+        width = fewest + 1
+        term_cells, value_cells = cells[spec.term_column :: width], cells[spec.value_column :: width]
+    else:
+        starts = list(accumulate((n + 1 for n in tabs), initial=0))[:-1]
+        term_cells = [cells[start + spec.term_column] for start in starts]
+        value_cells = [cells[start + spec.value_column] for start in starts]
+    terms = list(map(str.strip, term_cells))
     if not all(terms):
         return None
     if spec.lowercase:
         terms = list(map(str.lower, terms))
     try:
-        # + 0.0 turns -0 into 0, as the sum of a term's values does
-        values = [float(cells[start + spec.value_column].strip()) + 0.0 for start in starts]
+        # stripped, as float keeps the U+001F that str.strip trims; + 0.0
+        # turns -0 into 0, as the sum of a term's values does
+        values = [float(cell) + 0.0 for cell in map(str.strip, value_cells)]
     except ValueError:
         return None
     if not all(map(math.isfinite, values)) or (spec.kind == BINARY and not set(values) <= {0.0, 1.0}):

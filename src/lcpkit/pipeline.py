@@ -16,7 +16,6 @@ from .corpus import DatasetSplit, Instance
 from .errors import DataError
 from .evaluation import AblationRow, MetricsReport
 from .features import (
-    FEATURE_FAMILIES,
     FeatureConfig,
     FeatureSchema,
     Tagger,
@@ -96,6 +95,15 @@ def fit_and_evaluate(
     return TrainResult(schema=schema, model=model, report=report)
 
 
+def ablation_features(baseline: FeatureConfig, candidates: Sequence[str]) -> FeatureConfig:
+    """The features of every row of an ablation: the baseline's and every
+    candidate's. Raises ValueError on an unknown or repeated candidate."""
+    features = with_families(baseline, *candidates)
+    if len(set(candidates)) != len(candidates):
+        raise ValueError("duplicate candidate families")
+    return features
+
+
 def run_ablation(
     split: DatasetSplit,
     registry: LexiconRegistry,
@@ -112,11 +120,7 @@ def run_ablation(
     Every row shares the same split and forest seed, so differences are
     attributable to the added family.
     """
-    unknown = [c for c in candidates if c not in FEATURE_FAMILIES]
-    if unknown:
-        raise ValueError(f"unknown feature families: {unknown}")
-    if len(set(candidates)) != len(candidates):
-        raise ValueError("duplicate candidate families")
+    ablation_features(baseline, candidates)
 
     def score(config: FeatureConfig) -> MetricsReport:
         result = fit_and_evaluate(

@@ -8,13 +8,16 @@ import math
 import os
 import random
 import string
+from itertools import repeat
 from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
 from lcpkit.corpus import Instance, parse_dataset
 from lcpkit.errors import DataError, decode_utf8
+from lcpkit.forest import RandomForest, Tree, _parse_config_lines
 from lcpkit.lexicons import BINARY, Lexicon, LexiconRegistry, LexiconSpec
 
 SUBCORPORA = ("bible", "europarl", "biomed")
@@ -122,6 +125,100 @@ def reference_load_lexicon(spec: LexiconSpec, source: bytes) -> dict[str, float]
             if not math.isfinite(sums[term]):
                 raise DataError(f"lexicon {spec.name!r} line {line_no}: the values of {term!r} overflow")
     return {t: sums[t] / counts[t] for t in sums}
+
+
+def reference_load_model(data: bytes) -> RandomForest:
+    """The model ``forest.load_model`` must return for ``data``, or the
+    DataError it must raise: the whole text split into lines and each tree
+    section into tokens, each number read by ``int`` or ``float``, then
+    every check in order."""
+    lines = decode_utf8(data, "model file:").splitlines()
+    if not lines:
+        raise DataError("model file: empty stream")
+    head = lines[0].split(" ")
+    if head[0] != "LCPMODEL":
+        raise DataError(f"model file: bad magic header {lines[0]!r}")
+    if head[1:] != ["1"]:
+        raise DataError(f"model file: unsupported format version {lines[0]!r}")
+    if len(lines) < 2 or lines[1] != "[schema]":
+        raise DataError("model file: missing [schema] section")
+    try:
+        at = lines.index("[config]", 2)
+    except ValueError:
+        raise DataError("model file: missing [config] section") from None
+    names = lines[2:at]
+    if any(name.startswith("[tree") for name in names):
+        raise DataError("model file: missing [config] section")
+    if not names:
+        raise DataError("model file: empty schema")
+    end = next((pos for pos in range(at + 1, len(lines)) if lines[pos][:1] == "["), len(lines))
+    pairs: dict[str, str] = {}
+    for line in lines[at + 1 : end]:
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise DataError(f"model file: bad config line {line!r}")
+        pairs[key] = val
+    config = _parse_config_lines(pairs)
+    if end < len(lines) and lines[end] != "[tree 0]":
+        raise DataError(f"model file line {end + 1}: unexpected section {lines[end]!r}")
+    heads: list[int] = []
+    for i in range(config.n_trees):
+        try:
+            heads.append(lines.index(f"[tree {i}]", heads[-1] + 1 if heads else end))
+        except ValueError:
+            raise DataError(f"model file: truncated, expected [tree {i}]") from None
+    sizes = np.diff(heads + [len(lines)]) - 1
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise DataError(f"model file: [tree {empty[0]}] has no nodes")
+    trees = [
+        _reference_tree(lines[pos + 1 : pos + 1 + size], i, pos + 1, len(names))
+        for i, (pos, size) in enumerate(zip(heads, sizes.tolist()))
+    ]
+    return RandomForest.from_trees(trees, config, names)
+
+
+def _reference_tree(lines: list[str], i: int, first: int, d: int) -> Tree:
+    n = len(lines)
+    widths = np.fromiter(map(str.count, lines, repeat(" ")), np.intp, n) + 1
+    tokens = np.array(" ".join(lines).split(" "), dtype=object)
+    starts = np.cumsum(widths) - widths
+    leaf = (tokens[starts] == "L") & (widths == 2)
+    split = (tokens[starts] == "N") & (widths == 5)
+    bad = np.flatnonzero(~(leaf | split))
+    if bad.size:
+        raise DataError(f"model file line {first + bad[0] + 1}: bad node line {lines[bad[0]]!r}")
+    try:
+        feature, left, right = (np.fromiter(map(int, tokens[starts[split] + k]), np.int64) for k in (1, 3, 4))
+        threshold = np.fromiter(map(float, tokens[starts[split] + 2]), np.float64)
+        value = np.fromiter(map(float, tokens[starts[leaf] + 1]), np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"model file: [tree {i}] has a bad node line: {exc}") from None
+    ids = np.flatnonzero(split)
+    bad = np.flatnonzero((feature < 0) | (feature >= d))
+    if bad.size:
+        raise DataError(f"model file line {first + ids[bad[0]] + 1}: feature index {feature[bad[0]]} out of range")
+    for child in (left, right):
+        bad = np.flatnonzero((child <= ids) | (child >= n))
+        if bad.size:
+            raise DataError(f"model file: [tree {i}] node {ids[bad[0]]} has bad child index {child[bad[0]]}")
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        raise DataError(f"model file: [tree {i}] has a non-finite threshold or leaf value")
+    parents = np.bincount(np.concatenate([left, right]), minlength=n)
+    bad = np.flatnonzero(parents[1:] != 1) + 1
+    if bad.size:
+        raise DataError(f"model file: [tree {i}] node {bad[0]} has {parents[bad[0]]} parents, expected 1")
+    bad = np.flatnonzero(left != ids + 1)
+    if bad.size:
+        raise DataError(
+            f"model file: [tree {i}] node {ids[bad[0]]} has left child {left[bad[0]]}, not the next node;"
+            " nodes must be in pre-order"
+        )
+    columns = [np.full(n, -1), np.full(n, np.inf), np.arange(n), np.arange(n), np.zeros(n)]
+    for column, parsed in zip(columns, (feature, threshold, left, right)):
+        column[split] = parsed
+    columns[4][leaf] = value
+    return Tree(*columns)
 
 
 @pytest.fixture

@@ -551,6 +551,14 @@ class TestAblate:
         assert lines[3].startswith("| prevalence |")
         assert lines[4].startswith("| aoa |")
 
+    def test_duplicate_candidates_refused_before_any_input(self, workspace, capsys):
+        report = workspace["tmp"] / "dup.md"
+        code = run("ablate", "--train", workspace["tmp"] / "missing.tsv", "--candidates", "aoa,aoa",
+                   "--report", report)
+        assert code == 2
+        assert capsys.readouterr().err == "error: duplicate candidate families\n"
+        assert not report.exists()
+
     def test_empty_candidates(self, workspace):
         report = workspace["tmp"] / "base_only.md"
         assert run("ablate", "--config", workspace["config"], "--report", report, "--quiet") == 0

@@ -31,7 +31,7 @@ from lcpkit.forest import (
 from lcpkit.lexicons import LexiconRegistry
 from lcpkit.pipeline import predict_scores
 
-from conftest import mutated
+from conftest import mutated, reference_load_model
 
 
 def single_tree_config(**kwargs) -> ForestConfig:
@@ -509,9 +509,45 @@ def random_trees(draw, n_features: int, max_depth: int = 4) -> Tree:
 
 
 @st.composite
+def chains(draw, n_features: int) -> Tree:
+    """17 to 24 splits on one feature, each with a leaf on one side and the
+    next split on the other. The thresholds fall along a chain that goes on
+    to the left and rise along one that goes on to the right, so rows leave
+    it at many depths, in different rounds of ``_leaves``'s checks."""
+    depth = draw(st.integers(17, 24))
+    on_left = draw(st.booleans())
+    cuts = sorted(draw(st.lists(grid_or_float, min_size=depth, max_size=depth)), reverse=on_left)
+    f = draw(st.integers(0, n_features - 1))
+    scale = draw(st.floats(0.01, 1.0))
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add() -> int:
+        node = len(feature)
+        for column, empty in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
+            column.append(empty)
+        value.append(scale * node)  # a distinct value for every leaf
+        return node
+
+    def grow(k: int) -> int:
+        node = add()
+        if k < depth:
+            feature[node], threshold[node] = f, cuts[k]
+            if on_left:
+                left[node] = grow(k + 1)
+                right[node] = add()
+            else:
+                left[node] = add()
+                right[node] = grow(k + 1)
+        return node
+
+    grow(0)
+    return Tree(feature, threshold, left, right, value)
+
+
+@st.composite
 def random_forests(draw) -> RandomForest:
     d = draw(st.integers(1, 3))
-    trees = draw(st.lists(random_trees(d), min_size=1, max_size=5))
+    trees = draw(st.lists(st.one_of(random_trees(d), chains(d)), min_size=1, max_size=5))
     return RandomForest.from_trees(trees, ForestConfig(n_trees=len(trees)), [f"f{i}" for i in range(d)])
 
 
@@ -530,6 +566,11 @@ def stumps(rng, n_trees: int) -> RandomForest:
     return RandomForest.from_trees(trees, ForestConfig(n_trees=n_trees), ["a", "b", "c"])
 
 
+#: Levels between two of ``_leaves``'s checks for pairs at a leaf: few, so
+#: random trees of depth up to 4 take more than one round, and the default.
+LEVELS = st.sampled_from([1, 2, 3, forest_module._LEVELS_PER_CHECK])
+
+
 class TestFlatTraversal:
     """r distinct rows walk ``max(1, _PAIRS_PER_GROUP // r)`` trees at a time."""
 
@@ -545,7 +586,8 @@ class TestFlatTraversal:
         groups = data.draw(st.sampled_from([1, 2, 3, n_trees]))
         rows = max(1, self.PAIRS // -(-n_trees // groups) + data.draw(st.integers(-1, 1)))
         X = data.draw(distinct_rows(rows, model.n_features))
-        with mock.patch.object(forest_module, "_PAIRS_PER_GROUP", self.PAIRS):
+        levels = data.draw(LEVELS)
+        with mock.patch.multiple(forest_module, _PAIRS_PER_GROUP=self.PAIRS, _LEVELS_PER_CHECK=levels):
             batch = predict_batch(model, X)
             single = predict_batch(model, X[-1:])
         assert batch.tobytes() == reference_predict(model, X).tobytes()
@@ -586,7 +628,8 @@ class TestRepeatedRows:
     def test_batch_of_repeats_matches_a_per_tree_walk(self, data):
         model = data.draw(random_forests())
         X = data.draw(repeated_rows(model.n_features))
-        with mock.patch.object(forest_module, "_PAIRS_PER_GROUP", TestFlatTraversal.PAIRS):
+        levels = data.draw(LEVELS)
+        with mock.patch.multiple(forest_module, _PAIRS_PER_GROUP=TestFlatTraversal.PAIRS, _LEVELS_PER_CHECK=levels):
             batch = predict_batch(model, X)
             alone = [predict_batch(model, X[i : i + 1]) for i in range(len(X))]
             fortran = predict_batch(model, np.asfortranarray(X))
@@ -813,3 +856,118 @@ class TestLoadModelFuzz:
             for old, new in ((leaf, f"L {bad}"), (" ".join(split), bad_split)):
                 with pytest.raises(DataError, match="non-finite"):
                     load_model(text.replace(old, new, 1).encode())
+
+
+@cache
+def varied_model_bytes() -> bytes:
+    """A saved model whose numbers take the forms repr gives them, exponents
+    of both signs among them, with node indices of up to three digits over
+    64 features: an integer read wrongly from a byte such as "L" or "e"
+    would often be in range."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(80, 64)) * 10.0 ** rng.integers(-8, 9, size=64)
+    y = rng.random(80) * 10.0 ** rng.integers(-9, 20, size=80)
+    buf = io.BytesIO()
+    save_model(fit(X, y, ForestConfig(n_trees=3, seed=2)), buf)
+    return buf.getvalue()
+
+
+#: Tokens a token of a node line may be replaced with: forms int and float
+#: read that the byte-level reader leaves to the token reader, line breaks,
+#: and 2**64 + 1, which wraps to 1 in 64 bits.
+LOADER_TOKENS = [
+    b"+1", b"1_0", b"-1", b"007", b"nan", b"\r\n", b"\r", b" ", b"\t", b"18446744073709551617",
+    b"0", b"1", b"2", b"5", b"1e-05", b"e", b"NL",
+]
+#: Lines a section header or the config's tree count may be replaced with.
+HEADER_LINES = [
+    b"[tree 0]", b"[tree 1]", b"[tree 01]", b"[tree  1]", b"[tree 1] ", b"[tree 1]\r", b"[tree 3]", b"[config]",
+    b"[schema]", b"LCPMODEL 1", b"n_trees=2", b"n_trees=4", b"", b"L 0.5",
+]
+
+
+@st.composite
+def edited_headers(draw) -> bytes:
+    lines = varied_model_bytes().split(b"\n")
+    heads = [k for k, line in enumerate(lines) if line.startswith((b"[", b"LCPMODEL", b"n_trees="))]
+    lines[draw(st.sampled_from(heads))] = draw(st.sampled_from(HEADER_LINES))
+    return b"\n".join(lines)
+
+
+def truncations(data: bytes) -> st.SearchStrategy[bytes]:
+    breaks = [k for k, byte in enumerate(data) if byte == ord("\n")]
+    cut = st.one_of(st.integers(0, len(data)), st.sampled_from(breaks), st.sampled_from(breaks).map(lambda k: k + 1))
+    return cut.map(lambda k: data[:k])
+
+
+class TestLoadModelReference:
+    """load_model returns reference_load_model's node table, bit for bit, or
+    raises its DataError, word for word."""
+
+    @staticmethod
+    def loads_as_the_reference(data: bytes) -> None:
+        try:
+            expected = reference_load_model(data)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                load_model(data)
+            assert str(raised.value) == str(exc)
+            return
+        model = load_model(data)
+        for name in Tree.__slots__:
+            got, want = getattr(model.nodes, name), getattr(expected.nodes, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+        assert (model.roots.dtype, model.roots.tobytes()) == (expected.roots.dtype, expected.roots.tobytes())
+        assert (model.config, model.feature_names) == (expected.config, expected.feature_names)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(mutated(varied_model_bytes(), b" ", LOADER_TOKENS), mutated_models()))
+    def test_mutated_models(self, data):
+        self.loads_as_the_reference(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(truncations(varied_model_bytes()), truncations(valid_model_bytes())))
+    def test_truncated_models(self, data):
+        self.loads_as_the_reference(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edited_headers())
+    def test_edited_headers(self, data):
+        self.loads_as_the_reference(data)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param((b"\n", b"\r\n"), id="crlf-line-ends"),
+        pytest.param((b"\n[tree 1]\n", b"\n[tree 1]"), id="header-run-into-a-node-line"),
+        pytest.param((b"LCPMODEL 1", b"LCPMODEL 1\xff"), id="non-utf8-head"),
+        pytest.param((b"\nL ", b"\nL \xc3\xa9"), id="non-ascii-node"),
+        pytest.param((b" 1 ", b" 1\x0c"), id="form-feed-line-break"),
+        pytest.param((b" 1 ", b" 0000000001 "), id="ten-digit-index"),
+        pytest.param((b" 1 ", b" 1\r"), id="carriage-return-inside-a-line"),
+        pytest.param((b"\n[tree 0]\n", b"\n[tree 0]\r\n[tree 0]\n"), id="header-line-before-the-header"),
+    ])
+    def test_files_left_to_the_token_reader(self, edit):
+        data = varied_model_bytes().replace(*edit, 1)
+        assert data != varied_model_bytes()
+        self.loads_as_the_reference(data)
+        self.loads_as_the_reference(data.rstrip(b"\n"))
+
+    @pytest.mark.parametrize("token", [b"", b"e", b"1e", b"+1", b"-1", b"1.", b"007", b"NL", b"18446744073709551617"])
+    @pytest.mark.parametrize("column", range(5))
+    def test_token_of_a_split_line(self, column, token):
+        lines = varied_model_bytes().split(b"\n")
+        k = next(k for k, line in enumerate(lines) if line.startswith(b"N "))
+        parts = lines[k].split(b" ")
+        parts[column] = token
+        lines[k] = b" ".join(parts)
+        self.loads_as_the_reference(b"\n".join(lines))
+
+    def test_saved_models_are_read_from_their_bytes(self):
+        single_leaf = RandomForest.from_trees([Tree([-1], [0.0], [-1], [-1], [0.25])], ForestConfig(n_trees=1), ["f"])
+        buf = io.BytesIO()
+        save_model(single_leaf, buf)
+        with mock.patch.object(forest_module, "_load_lines", side_effect=AssertionError("read token by token")):
+            for data in (valid_model_bytes(), varied_model_bytes(), buf.getvalue()):
+                self.loads_as_the_reference(data)
+                again = io.BytesIO()
+                save_model(load_model(io.BytesIO(data)), again)
+                assert again.getvalue() == data
