@@ -694,7 +694,10 @@ def _read_tree(text: bytes) -> tuple | None:
     first = np.concatenate([[0], last[:-1] + 1])
     starts = np.concatenate([[0], sep[last[:-1]] + 1])  # each line's first byte
     split = last - first == 4
-    if not ((split | (last - first == 1)).all() and (sec[starts] == np.where(split, ord("N"), ord("L"))).all()):
+    if not (split | (last - first == 1)).all():
+        return None
+    # each line's first token is the one byte "N" or "L"
+    if not ((sep[first] == starts + 1).all() and (sec[starts] == np.where(split, ord("N"), ord("L"))).all()):
         return None
     # Feature, left and right of each N line, a digit at a time; every byte
     # but those of the numbers float reads becomes a space in ``blank``.
@@ -721,7 +724,7 @@ def _read_tree(text: bytes) -> tuple | None:
         return None
     feature, left, right = ints.T
     words = blank.tobytes().split()
-    if len(words) != split.size:  # a number left empty, or a first token of more than "N" or "L"
+    if len(words) != split.size:  # a number left empty
         return None
     try:
         number = np.fromiter(map(float, words), np.float64, len(words))

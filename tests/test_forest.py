@@ -935,18 +935,21 @@ class TestLoadModelReference:
     def test_edited_headers(self, data):
         self.loads_as_the_reference(data)
 
-    @pytest.mark.parametrize("edit", [
-        pytest.param((b"\n", b"\r\n"), id="crlf-line-ends"),
-        pytest.param((b"\n[tree 1]\n", b"\n[tree 1]"), id="header-run-into-a-node-line"),
-        pytest.param((b"LCPMODEL 1", b"LCPMODEL 1\xff"), id="non-utf8-head"),
-        pytest.param((b"\nL ", b"\nL \xc3\xa9"), id="non-ascii-node"),
-        pytest.param((b" 1 ", b" 1\x0c"), id="form-feed-line-break"),
-        pytest.param((b" 1 ", b" 0000000001 "), id="ten-digit-index"),
-        pytest.param((b" 1 ", b" 1\r"), id="carriage-return-inside-a-line"),
-        pytest.param((b"\n[tree 0]\n", b"\n[tree 0]\r\n[tree 0]\n"), id="header-line-before-the-header"),
+    @pytest.mark.parametrize("pattern, replacement", [
+        pytest.param(rb"\n", b"\r\n", id="crlf-line-ends"),
+        pytest.param(rb"\n\[tree 1\]\n", b"\n[tree 1]", id="header-run-into-a-node-line"),
+        pytest.param(rb"LCPMODEL 1", b"LCPMODEL 1\xff", id="non-utf8-head"),
+        pytest.param(rb"\nL ", b"\nL \xc3\xa9", id="non-ascii-node"),
+        pytest.param(rb" 1 ", b" 1\x0c", id="form-feed-line-break"),
+        pytest.param(rb" 1 ", b" 0000000001 ", id="ten-digit-index"),
+        pytest.param(rb" 1 ", b" 1\r", id="carriage-return-inside-a-line"),
+        pytest.param(rb"\n\[tree 0\]\n", b"\n[tree 0]\r\n[tree 0]\n", id="header-line-before-the-header"),
+        # a number run into the line's first token, with an empty token for it
+        pytest.param(rb"\nL (\S+)\n", rb"\nL\1 \n", id="leaf-value-run-into-L"),
+        pytest.param(rb"\nN (\S+) (\S+) ", rb"\nN\2 \1  ", id="threshold-run-into-N"),
     ])
-    def test_files_left_to_the_token_reader(self, edit):
-        data = varied_model_bytes().replace(*edit, 1)
+    def test_files_left_to_the_token_reader(self, pattern, replacement):
+        data = re.sub(pattern, replacement, varied_model_bytes(), count=1)
         assert data != varied_model_bytes()
         self.loads_as_the_reference(data)
         self.loads_as_the_reference(data.rstrip(b"\n"))
