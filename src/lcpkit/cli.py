@@ -232,6 +232,7 @@ def _apply_common_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         raise DataError(f"[data] dev_fraction must be in (0, 1), got {cfg.dev_fraction}")
     if cfg.eval_on not in EVAL_SIDES:
         raise DataError(f"[data] eval_on must be one of {EVAL_SIDES}, got {cfg.eval_on!r}")
+    cfg.feature_config()  # refuses a bad preset, whichever command runs
     return cfg
 
 
@@ -430,8 +431,6 @@ def _parse_predictions(data: bytes, path: str) -> dict[str, float]:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    # A bad feature preset fails here, before any output, as in the commands that fit.
-    cfg.feature_config()
     predictions = _parse_predictions(_read_input(cfg, args.pred, "predictions file"), args.pred)
     gold_instances = parse_dataset(_read_input(cfg, args.gold, "gold dataset"), has_gold=True)
     labeled = [inst for inst in gold_instances if inst.gold is not None]
@@ -573,7 +572,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args, _apply_common_flags(load_run_config(args.config), args))
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, as configparser's messages span several
+        print("error:", " ".join(map(str.strip, str(exc).splitlines())), file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import repeat
 from typing import IO, Sequence
 
 import numpy as np
@@ -646,45 +646,23 @@ def _put_tree(out: Tree, i: int, first: int, d: int, split, feature, threshold, 
     out.value[~split] = value
 
 
-def _parse_tree(lines: list[str], i: int, first: int) -> tuple:
-    """The nodes of the lines of section ``[tree i]``, the first of them at
-    file line index ``first``, as ``_put_tree`` takes them.
-
-    A node line is ``L value`` or ``N feature threshold left right``.
-    """
-    n = len(lines)
-    widths = np.fromiter(map(str.count, lines, repeat(" ")), np.intp, n) + 1
-    tokens = np.array(" ".join(lines).split(" "), dtype=object)
-    starts = np.cumsum(widths) - widths
-    leaf = (tokens[starts] == "L") & (widths == 2)
-    split = (tokens[starts] == "N") & (widths == 5)
-    bad = np.flatnonzero(~(leaf | split))
-    if bad.size:
-        raise DataError(f"model file line {first + bad[0] + 1}: bad node line {lines[bad[0]]!r}")
-    try:
-        feature, left, right = (np.fromiter(map(int, tokens[starts[split] + k]), np.int64) for k in (1, 3, 4))
-        threshold = np.fromiter(map(float, tokens[starts[split] + 2]), np.float64)
-        value = np.fromiter(map(float, tokens[starts[leaf] + 1]), np.float64)
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"model file: [tree {i}] has a bad node line: {exc}") from None
-    return split, feature, threshold, left, right, value
-
-
 #: The bytes of the node lines save_model writes, the only ones ``_read_tree`` reads.
 _TREE_BYTES = b"0123456789.e+-NL \n"
 #: The longest integer ``_read_tree`` reads, in digits: far from int64's limit.
 _MAX_DIGITS = 9
 #: The integer tokens of an ``N`` line, after its first: feature, left, right.
 _INT_TOKENS = np.array([1, 3, 4])
+#: A tree section's header line.
+_HEADER = re.compile(rb"\[tree [0-9]+\]")
 
 
 def _read_tree(text: bytes) -> tuple | None:
     """The nodes of a tree section's bytes, each line ending in ``\\n``, read
-    from the bytes themselves: what ``_parse_tree`` returns for the same
-    lines, or None for a section it might read differently. That is one with
-    a byte outside ``_TREE_BYTES``, a line of neither node form, an integer
-    that is not 1 to ``_MAX_DIGITS`` ASCII digits or a number ``float``
-    refuses."""
+    from the bytes themselves as ``_put_tree`` takes them, or None for a
+    section with a line that is not a node line as save_model writes it:
+    ``L F`` or ``N I F I I`` with single spaces, where ``I`` is 1 to
+    ``_MAX_DIGITS`` ASCII digits and ``F`` a number ``float`` reads whose
+    bytes are all in ``_TREE_BYTES``."""
     if text.translate(None, _TREE_BYTES):
         return None
     sec = np.frombuffer(text, np.uint8)
@@ -769,88 +747,60 @@ def _parse_head(lines: list[str]) -> tuple[list[str], ForestConfig, int]:
     return names, config, end
 
 
-def _node_table(sizes: np.ndarray) -> tuple[Tree, np.ndarray]:
-    """An unfilled table for trees of ``sizes`` nodes, and their roots."""
-    total = int(sizes.sum())
-    table = Tree.of_table(np.empty(total, np.int32), np.empty(total), np.empty((total, 2), np.int32), np.empty(total))
-    return table, np.cumsum(sizes) - sizes
-
-
-def _load_lines(data: bytes) -> RandomForest:
-    """The model in ``data``, read line by line and token by token: the
-    reader of every file ``_load_bytes`` does not read, and so of every
-    error."""
-    lines = decode_utf8(data, "model file:").splitlines()
-    names, config, end = _parse_head(lines)
-    # Each tree's header is looked up by name; any other "[" line inside a
-    # tree's section is a bad node line to _parse_tree.
-    heads: list[int] = []
-    for i in range(config.n_trees):
-        try:
-            heads.append(lines.index(f"[tree {i}]", heads[-1] + 1 if heads else end))
-        except ValueError:
-            raise DataError(f"model file: truncated, expected [tree {i}]") from None
-    sizes = np.diff([*heads, len(lines)]) - 1
-    empty = np.flatnonzero(sizes == 0)
-    if empty.size:
-        raise DataError(f"model file: [tree {empty[0]}] has no nodes")
-    nodes, roots = _node_table(sizes)
-    for i, (pos, root, size) in enumerate(zip(heads, roots.tolist(), sizes.tolist())):
-        tree = _parse_tree(lines[pos + 1 : pos + 1 + size], i, pos + 1)
-        _put_tree(nodes.part(root, root + size), i, pos + 1, len(names), *tree)
-    return RandomForest(nodes, roots, config, names)
-
-
-def _load_bytes(data: bytes) -> RandomForest | None:
-    """The model in ``data``, read a tree section at a time from its bytes
-    (see ``_read_tree``), or None for a file this reader does not take: one
-    whose head ``_parse_head`` refuses or that does not hold every
-    ``[tree i]`` line, a section ``_read_tree`` does not read, or a tree
-    that fails a check. For any other file it returns what ``_load_lines``
-    does."""
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    start = data.find(b"\n[tree 0]\n") + 1
-    if not start:
-        return None
-    try:
-        # the text's lines before [tree 0]: a line break ends the head
-        head = data[:start].decode("utf-8").splitlines()
-        names, config, end = _parse_head([*head, "[tree 0]"])
-    except (UnicodeDecodeError, DataError):
-        return None
-    if end != len(head):
-        return None
-    heads = [start]
-    for i in range(1, config.n_trees):
-        heads.append(data.find(b"\n[tree %d]\n" % i, heads[-1]) + 1)
-        if not heads[-1]:
-            return None
-    # tree i's node lines run from the end of its header line to the next header
-    begins = [pos + len(b"[tree %d]\n" % i) for i, pos in enumerate(heads)]
-    stops = [*heads[1:], len(data)]
-    sizes = np.array([data.count(b"\n", begin, stop) for begin, stop in zip(begins, stops)])
-    if not sizes.all():
-        return None
-    nodes, roots = _node_table(sizes)
-    for i, (begin, stop, root, size) in enumerate(zip(begins, stops, roots.tolist(), sizes.tolist())):
-        tree = _read_tree(data[begin:stop])
-        if tree is None:
-            return None
-        try:
-            _put_tree(nodes.part(root, root + size), i, len(head) + i + root + 1, len(names), *tree)
-        except DataError:
-            return None
-    return RandomForest(nodes, roots, config, names)
+def _first_bad_line(text: bytes, number: int, headers: bool = False) -> DataError | None:
+    """The error for the first line of ``text``, the file's line ``number``
+    on, that ``_read_tree`` refuses taken alone and, with ``headers``, that
+    is not a ``[tree i]`` header either; None if no line is."""
+    for number, line in enumerate(text.split(b"\n")[:-1], number):
+        if _read_tree(line + b"\n") is None and not (headers and _HEADER.fullmatch(line)):
+            return DataError(f"model file line {number}: bad node line {line.decode('utf-8', 'replace')!r}")
+    return None
 
 
 def load_model(source: IO[bytes] | bytes) -> RandomForest:
     """Parse a model stream produced by save_model. Raises DataError on any
-    format violation (bad magic, version mismatch, truncation, bad indices).
+    format violation (bad magic, version mismatch, truncation, bad indices,
+    a line in a tree section that is not a node line as save_model writes
+    it).
 
-    The file is read a tree at a time from its bytes; only a file that
-    reader does not take, non-canonical or invalid, is read token by token.
+    The head, up to the line ``[tree 0]``, is read as text, and each
+    ``[tree i]`` section from its bytes (see ``_read_tree``).
     """
-    data = source if isinstance(source, (bytes, bytearray)) else source.read()
-    model = _load_bytes(bytes(data))
-    return model if model is not None else _load_lines(data)
+    raw = bytes(source if isinstance(source, (bytes, bytearray)) else source.read())
+    data = raw if raw.endswith(b"\n") else raw + b"\n"
+    start = data.find(b"\n[tree 0]\n") + 1
+    text = decode_utf8(raw[: start or len(raw)], "model file:")
+    head = text.splitlines()
+    names, config, end = _parse_head([*head, "[tree 0]"] if start else head)
+    if end < len(head):
+        # [tree 0] shares its line, or a break other than "\n" ends it
+        k = "".join(text.splitlines(True)[:end]).count("\n")
+        raise _first_bad_line(data.split(b"\n", k + 1)[k] + b"\n", k + 1)
+    if not start:
+        raise DataError("model file: truncated, expected [tree 0]")
+    heads = [start]
+    while len(heads) < config.n_trees and (pos := data.find(b"\n[tree %d]\n" % len(heads), heads[-1]) + 1):
+        heads.append(pos)
+    # tree i's node lines run from the end of its header line to the next header
+    begins = [pos + len(b"[tree %d]\n" % i) for i, pos in enumerate(heads)]
+    stops = [*heads[1:], len(data)]
+    sizes = np.array([data.count(b"\n", begin, stop) for begin, stop in zip(begins, stops)])
+    roots = np.cumsum(sizes) - sizes
+    total, whole = int(sizes.sum()), len(heads) == config.n_trees and sizes.all()
+    nodes = Tree.of_table(np.empty(total, np.int32), np.empty(total), np.empty((total, 2), np.int32), np.empty(total))
+    for i, (begin, stop, root, size) in enumerate(zip(begins, stops, roots.tolist(), sizes.tolist())):
+        first = len(head) + 1 + i + root  # the file line index of the tree's first node
+        tree = _read_tree(data[begin:stop]) if size else None
+        if tree is None:
+            # a tree found missing or empty is reported after any line outside
+            # the grammar, but before a header out of place
+            error = _first_bad_line(data[begin:stop], first + 1, headers=not whole)
+            if error:
+                raise error
+        elif whole:
+            _put_tree(nodes.part(root, root + size), i, first, len(names), *tree)
+    if len(heads) < config.n_trees:
+        raise DataError(f"model file: truncated, expected [tree {len(heads)}]")
+    if not whole:
+        raise DataError(f"model file: [tree {np.flatnonzero(sizes == 0)[0]}] has no nodes")
+    return RandomForest(nodes, roots, config, names)

@@ -717,3 +717,63 @@ class TestSchemaSidecarFuzz:
                                "--output", fuzz_workspace["tmp"] / "fuzzed.tsv")
         assert code in (0, 1, 2, 3)
         assert code == 0 or err.startswith("error: ")
+
+
+COMMANDS = ["train", "predict", "evaluate", "ablate", "coverage"]
+#: One bad value each: flags, or a config file's lines. Some flags are not
+#: every command's, which argparse refuses as well.
+BAD_FLAGS = [
+    ["--threads", "-1"], ["--seed", "x"], ["--dev-fraction", "1.5"], ["--eval-on", "nope"], ["--preset", "nope"],
+    ["--features", "bogus"], ["--features", " , "], ["--candidates", "aoa,aoa"], ["--candidates", "bogus"],
+    ["--format", "pdf"], ["--bogus"],
+]
+BAD_CONFIG_LINES = [
+    "[run]\nthreads = -1", "[run]\nseed = x", "[data]\ndev_fraction = 0", "[data]\neval_on = nope",
+    "[features]\npreset = nope", "[features]\nenabled = bogus", "[features]\ntrigram_min_count = 0",
+    "[features]\nfrequency_source = nope", "[forest]\nn_trees = 0", "[forest]\nbootstrap = maybe",
+    "[forest]\nmax_depth = x", "[forest]\nbogus = 1", "[bogus]\nx = 1", "[lexicon:y]\npath = y.tsv\nkind = weird",
+    "[lexicon:y]\npath = y.tsv\nskip_rows = -1", "[lexicon: ]\npath = y.tsv", "no section header",
+]
+
+
+class TestBadArgumentsBeforeInputs:
+    """Every command refuses a bad flag or config value before it reads an
+    input: with every input missing, it exits 1 or 2, not 3 (cannot read),
+    with one error line, and writes nothing."""
+
+    @staticmethod
+    def argv(command: str, missing, out) -> list:
+        return {
+            "train": ["--train", missing / "train.tsv", "--model", out / "m.lcpmodel"],
+            "predict": ["--model", missing / "m.lcpmodel", "--input", missing / "test.tsv",
+                        "--output", out / "pred.tsv"],
+            "evaluate": ["--pred", missing / "pred.tsv", "--gold", missing / "gold.tsv", "--report", out / "r.md"],
+            "ablate": ["--train", missing / "train.tsv", "--report", out / "r.md"],
+            "coverage": ["--train", missing / "train.tsv", "--lexicon", "x"],
+        }[command]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_config_preset_refused(self, tmp_path, command, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[features]\npreset = nope\n\n[lexicon:x]\npath = {tmp_path / 'x.tsv'}\n")
+        tmp_path.joinpath("out").mkdir()
+        code = run(command, "--config", config, *self.argv(command, tmp_path / "missing", tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: unknown preset 'nope'; choose from {sorted(PRESETS)}\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(COMMANDS),
+           bad=st.one_of(st.sampled_from(BAD_FLAGS), st.sampled_from(BAD_CONFIG_LINES)))
+    def test_refused_with_every_input_missing(self, tmp_path_factory, command, bad):
+        tmp = tmp_path_factory.mktemp("bad")
+        missing, out = tmp / "missing", tmp / "out"
+        out.mkdir()
+        config = tmp / "run.ini"
+        lines = bad if isinstance(bad, str) else ""
+        config.write_text(f"[lexicon:x]\npath = {missing / 'x.tsv'}\n\n{lines}\n")
+        flags = bad if isinstance(bad, list) else []
+        code, err = quiet_main(command, "--config", config, *self.argv(command, missing, out), *flags)
+        assert code in (1, 2), err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()[-1:]
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []

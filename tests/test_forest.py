@@ -731,8 +731,8 @@ class TestPersistence:
     @pytest.mark.parametrize("nodes,match", [
         pytest.param("N 0 0.5 1 2 2\nL 0.0\nL 1.0\n", "bad node line", id="split-with-extra-token"),
         pytest.param("N 0 0.5 1 2\nL 0.0 1.0\nL 1.0\n", "bad node line", id="leaf-with-extra-token"),
-        pytest.param("N -1 0.5 1 2\nL 0.0\nL 1.0\n", "out of range", id="split-on-feature-minus-1"),
-        pytest.param("N -1 0.5 -1 -1\n", "out of range", id="split-without-children"),
+        pytest.param("N -1 0.5 1 2\nL 0.0\nL 1.0\n", "bad node line", id="split-on-feature-minus-1"),
+        pytest.param("N -1 0.5 -1 -1\n", "bad node line", id="split-without-children"),
         pytest.param("N 0 0.5 1 0\nL 1.0\nL 2.0\n", None, id="child-at-parent"),
         pytest.param("N 0 0.5 1 2\nN 0 0.5 1 3\nL 1.0\nL 2.0\n", None, id="child-before-parent"),
         pytest.param("N 0 0.5 1 2\nL 1.0\n", None, id="child-at-tree-size"),
@@ -851,10 +851,12 @@ class TestLoadModelFuzz:
         text = valid_model_bytes().decode()
         leaf = next(line for line in text.splitlines() if line.startswith("L "))
         split = next(line for line in text.splitlines() if line.startswith("N ")).split(" ")
-        for bad in ("nan", "inf", "-inf"):
+        # 1e999 is in the model file's grammar and reads as inf; nan and inf are not
+        for bad, match in (("1e999", "non-finite"), ("-1e999", "non-finite"), ("nan", "bad node line"),
+                           ("inf", "bad node line"), ("-inf", "bad node line")):
             bad_split = " ".join([*split[:2], bad, *split[3:]])
             for old, new in ((leaf, f"L {bad}"), (" ".join(split), bad_split)):
-                with pytest.raises(DataError, match="non-finite"):
+                with pytest.raises(DataError, match=match):
                     load_model(text.replace(old, new, 1).encode())
 
 
@@ -873,8 +875,8 @@ def varied_model_bytes() -> bytes:
 
 
 #: Tokens a token of a node line may be replaced with: forms int and float
-#: read that the byte-level reader leaves to the token reader, line breaks,
-#: and 2**64 + 1, which wraps to 1 in 64 bits.
+#: read that are outside the model file's grammar, line breaks, and
+#: 2**64 + 1, which wraps to 1 in 64 bits.
 LOADER_TOKENS = [
     b"+1", b"1_0", b"-1", b"007", b"nan", b"\r\n", b"\r", b" ", b"\t", b"18446744073709551617",
     b"0", b"1", b"2", b"5", b"1e-05", b"e", b"NL",
@@ -900,18 +902,48 @@ def truncations(data: bytes) -> st.SearchStrategy[bytes]:
     return cut.map(lambda k: data[:k])
 
 
+#: The model file's grammar, as the README's "Model file" gives it: a node
+#: line is ``L F`` or ``N I F I I``, and a tree section's header ``[tree i]``.
+INT = rb"[0-9]{1,9}"
+FLOAT = rb"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?"
+NODE_LINE = re.compile(rb"L %s|N %s %s %s %s" % (FLOAT, INT, FLOAT, INT, INT))
+HEADER_LINE = re.compile(rb"\[tree [0-9]+\]")
+
+
+def in_the_grammar(line: bytes) -> bool:
+    return bool(HEADER_LINE.fullmatch(line) or NODE_LINE.fullmatch(line))
+
+
+def tree_lines_in_the_grammar(data: bytes) -> bool:
+    """Whether each line of a model file from its first line ``[tree 0]`` on
+    (or from its end) is a header or a node line, and no line before it is
+    ``[tree 0]`` as ``str.splitlines`` splits the text. A final line break
+    may be left out."""
+    lines = data.removesuffix(b"\n").split(b"\n")
+    first = lines.index(b"[tree 0]") if b"[tree 0]" in lines else len(lines)
+    head = b"\n".join(lines[:first]).decode("utf-8", "replace").splitlines()
+    return "[tree 0]" not in head and all(map(in_the_grammar, lines[first:]))
+
+
 class TestLoadModelReference:
-    """load_model returns reference_load_model's node table, bit for bit, or
-    raises its DataError, word for word."""
+    """A file whose tree sections hold only headers and node lines of the
+    grammar loads as reference_load_model does: to its node table, bit for
+    bit, or to its DataError, word for word. Any other file is refused with
+    the reference's DataError or with a bad node line."""
 
     @staticmethod
     def loads_as_the_reference(data: bytes) -> None:
+        in_grammar = tree_lines_in_the_grammar(data)
         try:
             expected = reference_load_model(data)
         except DataError as exc:
+            expected = exc
+        if isinstance(expected, DataError) or not in_grammar:
             with pytest.raises(DataError) as raised:
                 load_model(data)
-            assert str(raised.value) == str(exc)
+            message = str(raised.value)
+            bad_line = re.match(r"model file line \d+: bad node line ", message)
+            assert message == str(expected) or not in_grammar and bad_line
             return
         model = load_model(data)
         for name in Tree.__slots__:
@@ -936,9 +968,11 @@ class TestLoadModelReference:
         self.loads_as_the_reference(data)
 
     @pytest.mark.parametrize("pattern, replacement", [
+        # only the head changes: read as text, as the reference reads it
+        pytest.param(rb"LCPMODEL 1", b"LCPMODEL 1\xff", id="non-utf8-head"),
+        # forms the token reader of earlier versions took
         pytest.param(rb"\n", b"\r\n", id="crlf-line-ends"),
         pytest.param(rb"\n\[tree 1\]\n", b"\n[tree 1]", id="header-run-into-a-node-line"),
-        pytest.param(rb"LCPMODEL 1", b"LCPMODEL 1\xff", id="non-utf8-head"),
         pytest.param(rb"\nL ", b"\nL \xc3\xa9", id="non-ascii-node"),
         pytest.param(rb" 1 ", b" 1\x0c", id="form-feed-line-break"),
         pytest.param(rb" 1 ", b" 0000000001 ", id="ten-digit-index"),
@@ -949,10 +983,20 @@ class TestLoadModelReference:
         pytest.param(rb"\nN (\S+) (\S+) ", rb"\nN\2 \1  ", id="threshold-run-into-N"),
     ])
     def test_files_left_to_the_token_reader(self, pattern, replacement):
+        """A tree section's line outside the grammar is refused, named by its
+        line number, with or without the file's final line break."""
         data = re.sub(pattern, replacement, varied_model_bytes(), count=1)
         assert data != varied_model_bytes()
-        self.loads_as_the_reference(data)
-        self.loads_as_the_reference(data.rstrip(b"\n"))
+        if tree_lines_in_the_grammar(data):
+            self.loads_as_the_reference(data)
+            self.loads_as_the_reference(data.rstrip(b"\n"))
+            return
+        lines = data.split(b"\n")
+        bad = next(k for k in range(varied_model_bytes().split(b"\n").index(b"[tree 0]"), len(lines))
+                   if not in_the_grammar(lines[k]))
+        for cut in (data, data.rstrip(b"\n")):
+            with pytest.raises(DataError, match=rf"^model file line {bad + 1}: bad node line "):
+                load_model(cut)
 
     @pytest.mark.parametrize("token", [b"", b"e", b"1e", b"+1", b"-1", b"1.", b"007", b"NL", b"18446744073709551617"])
     @pytest.mark.parametrize("column", range(5))
@@ -966,11 +1010,45 @@ class TestLoadModelReference:
 
     def test_saved_models_are_read_from_their_bytes(self):
         single_leaf = RandomForest.from_trees([Tree([-1], [0.0], [-1], [-1], [0.25])], ForestConfig(n_trees=1), ["f"])
-        buf = io.BytesIO()
-        save_model(single_leaf, buf)
-        with mock.patch.object(forest_module, "_load_lines", side_effect=AssertionError("read token by token")):
-            for data in (valid_model_bytes(), varied_model_bytes(), buf.getvalue()):
-                self.loads_as_the_reference(data)
-                again = io.BytesIO()
-                save_model(load_model(io.BytesIO(data)), again)
-                assert again.getvalue() == data
+        for data in (valid_model_bytes(), varied_model_bytes(), saved(single_leaf)):
+            self.loads_as_the_reference(data)
+            assert saved(load_model(io.BytesIO(data))) == data
+
+
+def saved(model: RandomForest) -> bytes:
+    buf = io.BytesIO()
+    save_model(model, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def near_node_lines(draw) -> bytes:
+    """A node line of the grammar, half the time with one token replaced by
+    a string of bytes near the grammar's."""
+    ints = st.from_regex(INT, fullmatch=True)
+    floats = st.one_of(st.from_regex(FLOAT, fullmatch=True), st.floats().map(lambda v: repr(v).encode()))
+    tokens = list(draw(st.one_of(st.tuples(st.just(b"L"), floats), st.tuples(st.just(b"N"), ints, floats, ints, ints))))
+    if draw(st.booleans()):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.text("0123456789.e+-NL \t\rx_", max_size=12)).encode()
+    return b" ".join(tokens)
+
+
+class TestModelGrammar:
+    """save_model writes the README's grammar, and _read_tree reads exactly
+    that grammar's node lines."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_forests())
+    def test_saved_lines_are_in_the_grammar(self, model):
+        for data in (saved(model), varied_model_bytes()):
+            lines = data.split(b"\n")
+            assert lines[-1] == b""
+            assert all(map(in_the_grammar, lines[lines.index(b"[tree 0]") : -1]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(near_node_lines(), min_size=1, max_size=4))
+    def test_read_tree_takes_the_node_lines_of_the_grammar(self, lines):
+        alone = [forest_module._read_tree(line + b"\n") is not None for line in lines]
+        assert alone == [bool(NODE_LINE.fullmatch(line)) for line in lines]
+        section = forest_module._read_tree(b"".join(line + b"\n" for line in lines))
+        assert (section is not None) == all(alone)
