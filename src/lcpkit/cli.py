@@ -58,6 +58,7 @@ from .features import (
     FeatureConfig,
     FeatureSchema,
     LexiconTagger,
+    check_resources,
     lexicon_names,
 )
 from .forest import ForestConfig, load_model, save_model
@@ -350,7 +351,9 @@ def _require(value, flag: str):
 
 def _load_training(cfg: RunConfig, train_path: str, feature_config: FeatureConfig):
     """The train/dev split of the training dataset, and the lexicons and the
-    POS tagger that ``feature_config`` reads."""
+    POS tagger that ``feature_config`` reads, each of which is checked to be
+    configured before the dataset is read."""
+    check_resources(feature_config, cfg.lexicons, cfg.pos_lexicon is not None)
     instances = parse_dataset(_read_input(cfg, train_path, "training dataset"), has_gold=True)
     split = split_train_dev(instances, cfg.dev_fraction, cfg.seed)
     registry, tagger = load_resources(cfg, feature_config)
@@ -387,6 +390,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     model = load_model(_read_input(cfg, args.model, "model file"))
     schema_path = args.schema or args.model + ".schema.json"
     schema = FeatureSchema.from_json(_read_input(cfg, schema_path, "schema file"))
+    check_resources(schema.config, cfg.lexicons, cfg.pos_lexicon is not None)
     # The model's own feature and forest settings replace the run config's,
     # so the manifest records what ran.
     cfg.preset = None

@@ -360,9 +360,12 @@ def _union(found: list[Lexicon]) -> Lexicon:
     return found[0] if len(found) == 1 else merge_binary_union(found)
 
 
+_NO_TAGGER = "feature family 'pos' is enabled but no tagger is configured"
+
+
 def _require_tagger(rows: _Rows) -> Tagger:
     if rows.tagger is None:
-        raise ResourceError("feature family 'pos' is enabled but no tagger is configured")
+        raise ResourceError(_NO_TAGGER)
     return rows.tagger
 
 
@@ -478,6 +481,25 @@ def lexicon_names(config: FeatureConfig, available: Collection[str]) -> list[str
     return [name for _, names in _lexicon_reads(config, available) for name in names]
 
 
+def _no_lexicon(block: Block, config: FeatureConfig) -> ResourceError:
+    expected = " and/or ".join(block.lexicons(config))
+    return ResourceError(
+        f"feature family '{block.family}' has no backing lexicon (expected registry entry: {expected})"
+    )
+
+
+def check_resources(config: FeatureConfig, available: Collection[str], tagger: bool) -> None:
+    """Raise the ResourceError that extraction under ``config`` would raise
+    for a missing resource, from the names alone: a lexicon-backed family
+    with none of its lexicons among ``available``, or ``pos`` with no
+    tagger. A caller runs it before it reads any input."""
+    for block, names in _lexicon_reads(config, available):
+        if not names:
+            raise _no_lexicon(block, config)
+    if "pos" in config.enabled and not tagger:
+        raise ResourceError(_NO_TAGGER)
+
+
 def resolve_family_lexicons(registry: LexiconRegistry, config: FeatureConfig) -> dict[str, Lexicon]:
     """Map each enabled lexicon-backed family to its backing lexicon.
 
@@ -485,16 +507,13 @@ def resolve_family_lexicons(registry: LexiconRegistry, config: FeatureConfig) ->
     present; ``prior_complexity`` unions every binary ``prior_complexity*``
     entry; ``frequency`` reads the ``frequency`` entry when its source is
     ``lexicon``. A missing backing resource raises ResourceError naming the
-    family. Merged views are built once per registry (``LexiconRegistry.view``).
+    family (see ``check_resources``). Merged views are built once per
+    registry (``LexiconRegistry.view``).
     """
     views: dict[str, Lexicon] = {}
     for block, names in _lexicon_reads(config, registry.names()):
         if not names:
-            expected = " and/or ".join(block.lexicons(config))
-            raise ResourceError(
-                f"feature family '{block.family}' has no backing lexicon"
-                f" (expected registry entry: {expected})"
-            )
+            raise _no_lexicon(block, config)
         views[block.family] = registry.view(tuple(names), block.merge)
     return views
 

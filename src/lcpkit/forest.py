@@ -26,13 +26,13 @@ import math
 import multiprocessing
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError, decode_utf8
+from .errors import DataError, ResourceError, decode_utf8
 
 _MAGIC = "LCPMODEL"
 _VERSION = 1
@@ -423,20 +423,51 @@ def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator, screen: _Sc
     return Tree(*zip(*rows))
 
 
-#: In a fit worker process, the ``(X, y, config, screen)`` it was forked for.
-_worker_task: tuple | None = None
-
-
-def _start_worker(*task) -> None:
-    global _worker_task
-    _worker_task = task
-
-
-def _build(t: int, task: tuple | None = None) -> Tree:
-    """Tree t of the fit ``task``; a worker process builds from its own."""
-    X, y, config, screen = task or _worker_task
+def _build(t: int, task: tuple) -> Tree:
+    """Tree t of the fit ``task``, ``(X, y, config, screen)``."""
+    X, y, config, screen = task
     rng = np.random.default_rng(derive_seed(config.seed, t))
     return _grow_tree(X, y, config, rng, screen)
+
+
+#: In a worker process, the function and the task ``forked_map`` forked it for.
+_worker: tuple = ()
+
+
+def _start_worker(function: Callable, task) -> None:
+    global _worker
+    _worker = (function, task)
+
+
+def _run(i: int):
+    function, task = _worker
+    return function(i, task)
+
+
+def forked_map(function: Callable, count: int, workers: int, task) -> list:
+    """``[function(i, task) for i in range(count)]``, run by ``workers``
+    forked worker processes at once.
+
+    The workers inherit ``function`` and ``task`` through fork, so neither
+    is ever pickled: only each ``i`` and its result are. With one worker, or
+    where fork is unavailable, everything runs in this process and no
+    process is started. An exception raised in a worker reaches the caller
+    as itself; a worker that dies (killed, out of memory) raises
+    ResourceError. Every worker has exited when this returns or raises.
+    """
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [function(i, task) for i in range(count)]
+    context = multiprocessing.get_context("fork")
+    results: list = []
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=(function, task)) as pool:
+        try:
+            results.extend(pool.map(_run, range(count)))
+        except BrokenExecutor:
+            raise ResourceError(
+                f"a worker process died (killed, or out of memory?) before item {len(results)}"
+                f" of {count} of {function.__name__} was done"
+            ) from None
+    return results
 
 
 def _usable_cpus() -> int:
@@ -497,14 +528,7 @@ def fit(
     if n_threads < 0:
         raise ValueError(f"n_threads must be >= 0 (0 = auto), got {n_threads}")
     task = (X, y, config, _Screen(X, y, config.min_samples_leaf))
-    workers = min(n_threads or _usable_cpus(), config.n_trees)
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        trees = [_build(t, task) for t in range(config.n_trees)]
-    else:
-        # Forked workers inherit the task, so X and the screen are never pickled.
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=task) as pool:
-            trees = list(pool.map(_build, range(config.n_trees)))
+    trees = forked_map(_build, config.n_trees, min(n_threads or _usable_cpus(), config.n_trees), task)
     return RandomForest.from_trees(trees, config, feature_names)
 
 

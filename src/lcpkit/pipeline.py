@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import evaluation, forest
+from . import evaluation, features, forest
 from .corpus import DatasetSplit, Instance
 from .errors import DataError
 from .evaluation import AblationRow, MetricsReport
@@ -28,6 +28,10 @@ from .forest import ForestConfig, RandomForest
 from .lexicons import LexiconRegistry
 
 EVAL_SIDES = ("dev", "train")
+#: The fewest (distinct row, tree) pairs ``predict_scores`` gives a forked
+#: worker, so two workers start at twice this; below it, forking costs more
+#: than the second core saves (see the README).
+_FORK_MIN_PAIRS = 1 << 17
 
 
 def gold_vector(instances: Sequence[Instance]) -> np.ndarray:
@@ -53,7 +57,13 @@ def predict_scores(
     tagger: Tagger | None = None,
 ) -> np.ndarray:
     """Clamped complexity predictions for instances under a fitted pipeline.
-    Each distinct input (``distinct_inputs``) is extracted and scored once."""
+    Each distinct input (``distinct_inputs``) is extracted and scored once.
+
+    An input of at least twice ``_FORK_MIN_PAIRS`` (distinct row, tree)
+    pairs is split into contiguous shares of at least ``_FORK_MIN_PAIRS``
+    pairs, at most one per usable CPU, each extracted and scored in a forked
+    worker (``forest.forked_map``). A row's score does not depend on the
+    rows scored with it, so the result is the same bytes for any share."""
     columns, names = list(schema.columns), model.feature_names
     if columns != names:
         at = next((i for i, (a, b) in enumerate(zip(columns, names)) if a != b), None)
@@ -64,8 +74,24 @@ def predict_scores(
         )
         raise DataError(f"schema does not match the model's features: {differ}")
     representatives, where = distinct_inputs(instances, schema.config)
-    X = extract_matrix(representatives, schema, registry, tagger)
-    return np.clip(forest.predict_batch(model, X), 0.0, 1.0)[where]
+    pairs = len(representatives) * model.roots.size
+    workers = 1 if pairs < 2 * _FORK_MIN_PAIRS else min(forest._usable_cpus(), pairs // _FORK_MIN_PAIRS)
+    if workers == 1:
+        X = extract_matrix(representatives, schema, registry, tagger)
+        return np.clip(forest.predict_batch(model, X), 0.0, 1.0)[where]
+    # The registry keeps the merged views built here, and the workers inherit them.
+    features.resolve_family_lexicons(registry, schema.config)
+    n = len(representatives)
+    bounds = [n * k // workers for k in range(workers + 1)]
+    shares = [representatives[a:b] for a, b in zip(bounds, bounds[1:])]
+    scores = forest.forked_map(_score_share, workers, workers, (shares, schema, model, registry, tagger))
+    return np.clip(np.concatenate(scores), 0.0, 1.0)[where]
+
+
+def _score_share(k: int, task: tuple) -> np.ndarray:
+    """The raw scores of share k of a forked ``predict_scores`` ``task``."""
+    shares, schema, model, registry, tagger = task
+    return forest.predict_batch(model, extract_matrix(shares[k], schema, registry, tagger))
 
 
 def fit_and_evaluate(

@@ -11,7 +11,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcpkit import cli
+from lcpkit import cli, forest
 from lcpkit.cli import _KEYS, _parse_predictions, load_run_config, main
 from lcpkit.corpus import split_train_dev
 from lcpkit.errors import DataError, LcpkitError
@@ -430,6 +430,49 @@ class TestPredict:
                    "--model", workspace["tmp"] / "nope.lcpmodel",
                    "--input", workspace["test"], "--output", workspace["tmp"] / "p.tsv")
         assert code == 3
+
+
+class TestResourcesBeforeInputs:
+    """A feature family without its lexicon or tagger is refused from the
+    config's names alone, before any dataset is read."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("features, message", [
+        ("length,frequency", "feature family 'frequency' has no backing lexicon (expected registry entry: frequency)"),
+        ("length,pos", "feature family 'pos' is enabled but no tagger is configured"),
+    ])
+    def test_training_dataset_not_read(self, tmp_path, command, features, message):
+        config = tmp_path / "bare.ini"
+        config.write_text("[forest]\nn_trees = 2\n")
+        not_a_dataset = tmp_path / "notes.txt"
+        not_a_dataset.write_text("not a dataset\n")
+        out = ["--model", tmp_path / "m.lcpmodel"] if command == "train" else ["--report", tmp_path / "r.md"]
+        code, err = quiet_main(command, "--config", config, "--train", not_a_dataset, "--features", features, *out)
+        assert (code, err) == (3, f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.ini", "notes.txt"]
+
+    def test_predict_input_not_read(self, workspace):
+        model = workspace["tmp"] / "out.lcpmodel"
+        assert run("train", "--config", workspace["config"], "--model", model, "--quiet") == 0
+        bare = workspace["tmp"] / "bare.ini"
+        bare.write_text("[run]\nseed = 5\n")
+        not_a_dataset = workspace["tmp"] / "notes.txt"
+        not_a_dataset.write_text("not a dataset\n")
+        out = workspace["tmp"] / "pred.tsv"
+        code, err = quiet_main("predict", "--config", bare, "--model", model, "--input", not_a_dataset, "--output", out)
+        assert code == 3
+        assert err.startswith("error: feature family 'frequency' has no backing lexicon")
+        assert not out.exists()
+
+
+class TestDeadWorker:
+    def test_exit_code_3_and_one_line(self, workspace, monkeypatch):
+        monkeypatch.setattr(forest, "_grow_tree", lambda *args: os._exit(9))
+        model = workspace["tmp"] / "out.lcpmodel"
+        code, err = quiet_main("train", "--config", workspace["config"], "--model", model, "--threads", 2)
+        assert code == 3
+        assert err.startswith("error: a worker process died") and err.count("\n") == 1
+        assert not model.exists()
 
 
 class TestEvaluate:

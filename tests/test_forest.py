@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import multiprocessing
+import os
 import random
 import re
 import threading
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcpkit import forest as forest_module
 from lcpkit.corpus import Instance
-from lcpkit.errors import DataError
+from lcpkit.errors import DataError, ResourceError
 from lcpkit.features import FeatureConfig, fit_schema
 from lcpkit.forest import (
     ForestConfig,
@@ -204,6 +205,26 @@ class TestWorkers:
         with mock.patch.object(forest_module, "_grow_tree", failing):
             with pytest.raises(RuntimeError, match="tree 1 failed"):
                 fit(X, y, cfg, n_threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_resource_error(self):
+        X, y = self.data(2)
+        cfg = ForestConfig(n_trees=3, seed=4)
+        with mock.patch.object(forest_module, "_grow_tree", lambda *args: os._exit(9)):
+            with pytest.raises(ResourceError, match=r"worker process died .* before item 0 of 3 of _build"):
+                fit(X, y, cfg, n_threads=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forked_map_inherits_function_and_task(self, workers):
+        """Results come back in order; a lambda and an unpicklable task work,
+        since neither is sent to the workers."""
+        task = (threading.Lock(), "task")
+        with worker_pools() as pool:
+            got = forest_module.forked_map(lambda i, t: (i * i, t[1], os.getpid()), 5, workers, task)
+        assert [(square, name) for square, name, _ in got] == [(i * i, "task") for i in range(5)]
+        assert (os.getpid() in {pid for *_, pid in got}) == (workers == 1)
+        assert pool.call_count == (workers > 1)
         assert multiprocessing.active_children() == []
 
     def test_concurrent_fits_match_sequential(self):

@@ -1,6 +1,11 @@
+import contextlib
 import math
+import multiprocessing
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcpkit import features, forest, pipeline
 from lcpkit.corpus import Instance, split_train_dev
-from lcpkit.errors import DataError
+from lcpkit.errors import DataError, ResourceError
 from lcpkit.features import FEATURE_FAMILIES, POS_TAGSET, FeatureConfig, distinct_inputs, extract_matrix
 from lcpkit.forest import ForestConfig
 from lcpkit.pipeline import fit_and_evaluate, gold_vector, predict_scores, run_ablation
@@ -283,3 +288,124 @@ class TestAblation:
         baseline = FeatureConfig(enabled=frozenset({"length"}))
         with pytest.raises(ValueError, match="duplicate"):
             run_ablation(split, registry, baseline, ["syllables", "syllables"], FOREST)
+
+
+@contextlib.contextmanager
+def forked_scoring(cpus: int):
+    """Every input scores in forked workers, one per usable CPU, as if there
+    were ``cpus``; yields a spy on the process pool."""
+    with (
+        mock.patch.object(pipeline, "_FORK_MIN_PAIRS", 1),
+        mock.patch.object(forest, "_usable_cpus", lambda: cpus),
+        mock.patch.object(forest, "ProcessPoolExecutor", wraps=ProcessPoolExecutor) as pool,
+    ):
+        yield pool
+
+
+@pytest.fixture(params=[2, 3], ids=["2_cpus", "3_cpus"])
+def forked(request):
+    with forked_scoring(request.param) as pool:
+        yield pool
+
+
+class TestForkedScoring:
+    """Large inputs score in forked workers, one contiguous share of the
+    distinct inputs each, with the in-process path's bytes."""
+
+    @pytest.mark.parametrize(
+        "families", [frozenset(FEATURE_FAMILIES), frozenset(FEATURE_FAMILIES) - {"pos"}], ids=["every_family", "no_pos"]
+    )
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @settings(deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_same_bytes_as_in_process(self, cpus, families, data):
+        words, registry, result = fitted_world(families)
+        batch = data.draw(repeating_instances(words))
+        batch = batch[: len(batch) - 1 + len(batch) % 2]  # an odd count, so the shares are uneven
+        args = (result.schema, result.model, registry, sentence_tagger)
+        expected = predict_scores(batch, *args)
+        with forked_scoring(cpus) as pool:
+            assert predict_scores(batch, *args).tobytes() == expected.tobytes()
+        assert pool.call_count == 1
+        assert multiprocessing.active_children() == []
+
+    def test_shares_are_contiguous_and_cover_every_input(self, forked, monkeypatch):
+        words, registry, result = fitted_world(frozenset(FEATURE_FAMILIES) - {"pos"})
+        batch = [Instance(f"q{k}", "bible", f"the {w} was seen", w) for k, w in enumerate(words[:7] * 2)]
+        shares = []
+
+        def spy(k, task):
+            shares.append([inst.id for inst in task[0][k]])
+            return score_share(k, task)
+
+        score_share = pipeline._score_share
+        monkeypatch.setattr(pipeline, "_score_share", spy)
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
+        predict_scores(batch, result.schema, result.model, registry)
+        assert shares == []  # one worker: the whole input, in process, with no shares
+        # without fork the shares are scored in process, so the spy sees them
+        with mock.patch("multiprocessing.get_all_start_methods", return_value=["spawn"]):
+            monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
+            predict_scores(batch, result.schema, result.model, registry)
+        assert shares == [["q0", "q1"], ["q2", "q3"], ["q4", "q5", "q6"]]
+
+    def test_worker_error_reaches_the_caller(self, forked):
+        words, registry, result = fitted_world(frozenset(FEATURE_FAMILIES))
+        batch = [Instance(f"q{k}", "bible", f"the {w} was seen", w) for k, w in enumerate(words[:5])]
+        with mock.patch.object(pipeline, "_FORK_MIN_PAIRS", 1 << 62), pytest.raises(ResourceError) as alone:
+            predict_scores(batch, result.schema, result.model, registry)
+        with pytest.raises(ResourceError) as shared:
+            predict_scores(batch, result.schema, result.model, registry)
+        assert forked.call_count == 1
+        assert (type(shared.value), str(shared.value)) == (type(alone.value), str(alone.value))
+        assert "no tagger" in str(shared.value)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_resource_error(self, forked, monkeypatch):
+        words, registry, result = fitted_world(frozenset(FEATURE_FAMILIES) - {"pos"})
+        batch = [Instance(f"q{k}", "bible", f"the {w} was seen", w) for k, w in enumerate(words[:5])]
+        monkeypatch.setattr(pipeline, "_score_share", lambda k, task: os._exit(9))
+        with pytest.raises(ResourceError, match="worker process died"):
+            predict_scores(batch, result.schema, result.model, registry)
+        assert multiprocessing.active_children() == []
+
+    def test_views_merged_once_across_forked_calls(self, forked, monkeypatch, tmp_path):
+        """The parent builds the merged AoA view before forking, so no worker
+        merges it: every merge, in any process, appends a line to a file."""
+        instances, result = TestMergedViews().fitted()
+        _, registry = aoa_world()
+        forked.reset_mock()
+        log = tmp_path / "merges"
+        merge = features.merge_average
+
+        def logged(*args):
+            with open(log, "a") as sink:
+                sink.write(f"{os.getpid()}\n")
+            return merge(*args)
+
+        monkeypatch.setattr(features, "merge_average", logged)
+        scores = [predict_scores(instances, result.schema, result.model, registry) for _ in range(3)]
+        assert forked.call_count == 3
+        assert log.read_text() == f"{os.getpid()}\n"
+        assert scores[0].tobytes() == scores[1].tobytes() == scores[2].tobytes()
+
+    def test_no_pool_below_the_threshold(self, forked, monkeypatch):
+        words, registry, result = fitted_world(frozenset(FEATURE_FAMILIES) - {"pos"})
+        batch = [Instance(f"q{k}", "bible", f"the {w} was seen", w) for k, w in enumerate(words[:5])]
+        for least in (5 * FOREST.n_trees + 1, 5 * FOREST.n_trees // 2 + 1):  # one worker's worth, or less
+            monkeypatch.setattr(pipeline, "_FORK_MIN_PAIRS", least)
+            predict_scores(batch, result.schema, result.model, registry)
+        forked.assert_not_called()
+        monkeypatch.setattr(pipeline, "_FORK_MIN_PAIRS", 5 * FOREST.n_trees // 2)
+        predict_scores(batch, result.schema, result.model, registry)
+        assert forked.call_count == 1 and forked.call_args.args[0] == 2
+
+    def test_without_fork_scores_in_process(self, forked):
+        words, registry, result = fitted_world(frozenset(FEATURE_FAMILIES) - {"pos"})
+        batch = [Instance(f"q{k}", "bible", f"the {w} was seen", w) for k, w in enumerate(words[:9])]
+        args = (result.schema, result.model, registry)
+        with mock.patch("multiprocessing.get_all_start_methods", return_value=["spawn"]):
+            scores = predict_scores(batch, *args)
+        forked.assert_not_called()
+        with mock.patch.object(pipeline, "_FORK_MIN_PAIRS", 1 << 62):
+            assert scores.tobytes() == predict_scores(batch, *args).tobytes()
