@@ -263,7 +263,9 @@ def _write_file(path: Path, data: bytes, what: str) -> None:
 
 
 def load_resources(cfg: RunConfig, feature_config: FeatureConfig) -> tuple[LexiconRegistry, LexiconTagger | None]:
-    """The lexicons and the POS tagger that the enabled families read."""
+    """The lexicons and the POS tagger that the enabled families read, each
+    checked to be configured before any file is read."""
+    check_resources(feature_config, cfg.lexicons, cfg.pos_lexicon is not None)
     registry = LexiconRegistry()
     for name in lexicon_names(feature_config, cfg.lexicons):
         spec = cfg.lexicons[name]
@@ -351,13 +353,10 @@ def _require(value, flag: str):
 
 def _load_training(cfg: RunConfig, train_path: str, feature_config: FeatureConfig):
     """The train/dev split of the training dataset, and the lexicons and the
-    POS tagger that ``feature_config`` reads, each of which is checked to be
-    configured before the dataset is read."""
-    check_resources(feature_config, cfg.lexicons, cfg.pos_lexicon is not None)
-    instances = parse_dataset(_read_input(cfg, train_path, "training dataset"), has_gold=True)
-    split = split_train_dev(instances, cfg.dev_fraction, cfg.seed)
+    POS tagger that ``feature_config`` reads, loaded first."""
     registry, tagger = load_resources(cfg, feature_config)
-    return split, registry, tagger
+    instances = parse_dataset(_read_input(cfg, train_path, "training dataset"), has_gold=True)
+    return split_train_dev(instances, cfg.dev_fraction, cfg.seed), registry, tagger
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
@@ -390,7 +389,6 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     model = load_model(_read_input(cfg, args.model, "model file"))
     schema_path = args.schema or args.model + ".schema.json"
     schema = FeatureSchema.from_json(_read_input(cfg, schema_path, "schema file"))
-    check_resources(schema.config, cfg.lexicons, cfg.pos_lexicon is not None)
     # The model's own feature and forest settings replace the run config's,
     # so the manifest records what ran.
     cfg.preset = None

@@ -488,7 +488,7 @@ def _no_lexicon(block: Block, config: FeatureConfig) -> ResourceError:
     )
 
 
-def check_resources(config: FeatureConfig, available: Collection[str], tagger: bool) -> None:
+def check_resources(config: FeatureConfig, available: Collection[str], has_tagger: bool) -> None:
     """Raise the ResourceError that extraction under ``config`` would raise
     for a missing resource, from the names alone: a lexicon-backed family
     with none of its lexicons among ``available``, or ``pos`` with no
@@ -496,7 +496,7 @@ def check_resources(config: FeatureConfig, available: Collection[str], tagger: b
     for block, names in _lexicon_reads(config, available):
         if not names:
             raise _no_lexicon(block, config)
-    if "pos" in config.enabled and not tagger:
+    if "pos" in config.enabled and not has_tagger:
         raise ResourceError(_NO_TAGGER)
 
 
