@@ -59,7 +59,6 @@ from .features import (
     FeatureSchema,
     LexiconTagger,
     check_resources,
-    lexicon_names,
 )
 from .forest import ForestConfig, load_model, save_model
 from .lexicons import LexiconRegistry, LexiconSpec, coverage, load_lexicon
@@ -264,14 +263,14 @@ def _write_file(path: Path, data: bytes, what: str) -> None:
 
 def load_resources(cfg: RunConfig, feature_config: FeatureConfig) -> tuple[LexiconRegistry, LexiconTagger | None]:
     """The lexicons and the POS tagger that the enabled families read, each
-    checked to be configured before any file is read."""
-    check_resources(feature_config, cfg.lexicons, cfg.pos_lexicon is not None)
+    checked to be configured and to back its family before any file is read."""
+    reads = check_resources(feature_config, cfg.lexicons, cfg.pos_lexicon is not None)
     registry = LexiconRegistry()
-    for name in lexicon_names(feature_config, cfg.lexicons):
+    for name in (name for _, names in reads for name in names):
         spec = cfg.lexicons[name]
         registry.add(load_lexicon(spec, _read_input(cfg, spec.path, f"lexicon {name!r}")))
     tagger = None
-    if "pos" in feature_config.enabled and cfg.pos_lexicon is not None:
+    if any(block.tagged for block, _ in reads):
         tagger = LexiconTagger.load(_read_input(cfg, cfg.pos_lexicon, "pos lexicon"))
     return registry, tagger
 

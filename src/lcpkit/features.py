@@ -3,12 +3,12 @@
 A feature family is a group of columns that the config switches on or off
 as one (``length``, ``char_trigrams``, ``aoa``, ``pos``, ...). ``BLOCKS`` at
 the end of this module is the single description of every family: the
-order of its columns in the schema, the registry lexicons it reads, what it
-fits on the training rows, how it fills its columns and whether that reads
-the sentence. ``FEATURE_FAMILIES``, ``resolve_family_lexicons``,
-``lexicon_names``, ``fit_schema``, ``distinct_inputs`` and ``extract_matrix``
-are all read off that table. Extraction is total: missing data is imputed,
-never raised.
+order of its columns in the schema, the registry lexicons it reads and their
+kind, what it fits on the training rows, how it fills its columns and
+whether that reads the tagger. ``FEATURE_FAMILIES``, ``check_resources``,
+``resolve_family_lexicons``, ``fit_schema``, ``distinct_inputs`` and
+``extract_matrix`` are all read off that table. Extraction is total: missing
+data is imputed, never raised.
 """
 
 from __future__ import annotations
@@ -18,13 +18,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import IO, Callable, Collection, Iterator, Mapping, Protocol, Sequence
+from typing import IO, Callable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import Instance
 from .errors import DataError, ResourceError, decode_utf8
-from .lexicons import BINARY, Lexicon, LexiconRegistry, lookup, merge_average, merge_binary_union
+from .lexicons import (
+    BINARY, CONTINUOUS, Lexicon, LexiconRegistry, LexiconSpec, lookup, merge_average, merge_binary_union,
+)
 
 VOWELS = frozenset("aeiouy")
 
@@ -276,12 +278,13 @@ class Block:
     ValueError when the schema lacks a fitted value the block reads. ``lexicons``
     gives the registry names the family reads under a config (a trailing
     ``*`` matches every name with that prefix; the missing-resource error
-    lists them), and ``merge`` turns the lexicons found into the family's
-    one view. ``fit`` adds the block's fitted state to the schema fields
-    being built; ``fill`` writes the block's columns for every row into its
-    slice of the feature matrix. ``fill`` reads ``rows.keys`` and nothing
-    else of an instance unless ``reads_sentence`` is set; then it may also
-    read the instance's unstripped token and its sentence.
+    lists them), each of which must have ``kind``, and ``merge`` turns two
+    or more lexicons found into the family's one view. ``fit`` adds the
+    block's fitted state to the schema fields being built; ``fill`` writes
+    the block's columns for every row into its slice of the feature matrix.
+    ``fill`` reads ``rows.keys`` and nothing else of an instance unless
+    ``tagged`` is set; then it reads the tagger, which may read the
+    instance's unstripped token and its sentence.
     """
 
     family: str
@@ -290,7 +293,8 @@ class Block:
     fit: Callable[[_Rows, FeatureConfig, dict], None] | None = None
     lexicons: Callable[[FeatureConfig], tuple[str, ...]] = lambda config: ()
     merge: Callable[[list[Lexicon]], Lexicon] = lambda found: found[0]
-    reads_sentence: bool = False
+    kind: str = CONTINUOUS
+    tagged: bool = False
 
 
 def _per_key(value: Callable[[str], int]) -> Callable[[_Rows, FeatureSchema, np.ndarray], None]:
@@ -326,7 +330,7 @@ def _fit_frequency(rows: _Rows, config: FeatureConfig, state: dict) -> None:
         state["internal_frequency"] = dict(counter)
 
 
-def _lexicon_block(family: str, names: tuple[str, ...] | None = None, merge=Block.merge) -> Block:
+def _lexicon_block(family: str, names: tuple[str, ...] | None = None, merge=Block.merge, kind=Block.kind) -> Block:
     """A lexicon lookup and its coverage indicator; uncovered targets get the
     mean value over the covered training targets."""
 
@@ -346,26 +350,15 @@ def _lexicon_block(family: str, names: tuple[str, ...] | None = None, merge=Bloc
             raise ValueError(f"feature family {family!r} has no finite imputation mean")
         return (family, f"{family}_present")
 
-    return Block(family, columns, fill, fit, lambda config: names or (family,), merge)
+    return Block(family, columns, fill, fit, lambda config: names or (family,), merge, kind)
 
 
-def _average(found: list[Lexicon]) -> Lexicon:
-    return found[0] if len(found) == 1 else merge_average(*found)
-
-
-def _union(found: list[Lexicon]) -> Lexicon:
-    bad = [lex.name for lex in found if lex.kind != BINARY]
-    if bad:
-        raise ResourceError(f"feature family 'prior_complexity': lexicons {bad} are not binary")
-    return found[0] if len(found) == 1 else merge_binary_union(found)
-
-
-_NO_TAGGER = "feature family 'pos' is enabled but no tagger is configured"
+_NO_TAGGER = "feature family '{}' is enabled but no tagger is configured"
 
 
 def _require_tagger(rows: _Rows) -> Tagger:
     if rows.tagger is None:
-        raise ResourceError(_NO_TAGGER)
+        raise ResourceError(_NO_TAGGER.format("pos"))
     return rows.tagger
 
 
@@ -434,19 +427,19 @@ BLOCKS: tuple[Block, ...] = (
         fit=_fit_frequency,
         lexicons=lambda config: ("frequency",) if config.frequency_source == "lexicon" else (),
     ),
-    _lexicon_block("aoa", ("aoa_1981", "aoa_2017"), _average),
+    _lexicon_block("aoa", ("aoa_1981", "aoa_2017"), lambda found: merge_average(*found)),
     _lexicon_block("prevalence"),
     _lexicon_block("concreteness_brysbaert"),
     _lexicon_block("concreteness_mrc"),
     _lexicon_block("familiarity_mrc"),
     _lexicon_block("arousal"),
-    _lexicon_block("prior_complexity", ("prior_complexity*",), _union),
+    _lexicon_block("prior_complexity", ("prior_complexity*",), merge_binary_union, BINARY),
     Block(
         "pos",
         lambda schema: tuple(f"pos={t}" for t in schema.pos_tagset),
         _fill_pos,
         fit=lambda rows, config, state: _require_tagger(rows),
-        reads_sentence=True,
+        tagged=True,
     ),
     _BIGRAM_LOGS,
     _TRIGRAM_LOGS,
@@ -461,43 +454,44 @@ def _enabled_blocks(config: FeatureConfig) -> Iterator[Block]:
     return (block for block in BLOCKS if block.family in config.enabled)
 
 
-def _lexicon_reads(config: FeatureConfig, available: Collection[str]) -> Iterator[tuple[Block, list[str]]]:
-    """Each enabled block that reads lexicons under ``config``, with the
-    names out of ``available`` it reads (possibly none)."""
-    for block in _enabled_blocks(config):
+def check_resources(
+    config: FeatureConfig, lexicons: Mapping[str, LexiconSpec | Lexicon], has_tagger: bool = True
+) -> list[tuple[Block, tuple[str, ...]]]:
+    """Each enabled block in ``BLOCKS`` order, with the names out of
+    ``lexicons`` it reads under ``config``. It reads only the names, kinds
+    and ``lowercase`` of ``lexicons``, so it can run on the configured specs
+    before any input is read.
+
+    Raises ResourceError naming the first family that has none of its
+    lexicons, one of another kind than the block's, lexicons that differ in
+    ``lowercase``, or, unless ``has_tagger``, that is ``tagged``.
+    """
+    reads = []
+    for block in BLOCKS:
+        if block.family not in config.enabled:
+            continue
+        if block.tagged and not has_tagger:
+            raise ResourceError(_NO_TAGGER.format(block.family))
         patterns = block.lexicons(config)
+        names: list[str] = []
         if patterns:
-            names: list[str] = []
             for pattern in patterns:
                 if pattern.endswith("*"):
-                    names.extend(sorted(n for n in available if n.startswith(pattern[:-1])))
-                elif pattern in available:
+                    names.extend(sorted(n for n in lexicons if n.startswith(pattern[:-1])))
+                elif pattern in lexicons:
                     names.append(pattern)
-            yield block, names
-
-
-def lexicon_names(config: FeatureConfig, available: Collection[str]) -> list[str]:
-    """The names out of ``available`` that the enabled families read."""
-    return [name for _, names in _lexicon_reads(config, available) for name in names]
-
-
-def _no_lexicon(block: Block, config: FeatureConfig) -> ResourceError:
-    expected = " and/or ".join(block.lexicons(config))
-    return ResourceError(
-        f"feature family '{block.family}' has no backing lexicon (expected registry entry: {expected})"
-    )
-
-
-def check_resources(config: FeatureConfig, available: Collection[str], has_tagger: bool) -> None:
-    """Raise the ResourceError that extraction under ``config`` would raise
-    for a missing resource, from the names alone: a lexicon-backed family
-    with none of its lexicons among ``available``, or ``pos`` with no
-    tagger. A caller runs it before it reads any input."""
-    for block, names in _lexicon_reads(config, available):
-        if not names:
-            raise _no_lexicon(block, config)
-    if "pos" in config.enabled and not has_tagger:
-        raise ResourceError(_NO_TAGGER)
+            if not names:
+                expected = " and/or ".join(patterns)
+                raise ResourceError(
+                    f"feature family '{block.family}' has no backing lexicon (expected registry entry: {expected})"
+                )
+            bad = [n for n in names if lexicons[n].kind != block.kind]
+            if bad:
+                raise ResourceError(f"feature family '{block.family}': lexicons {bad} are not {block.kind}")
+            if len(names) > 1 and len({lexicons[n].lowercase for n in names}) > 1:
+                raise ResourceError(f"feature family '{block.family}': lexicons {names} differ in lowercase")
+        reads.append((block, tuple(names)))
+    return reads
 
 
 def resolve_family_lexicons(registry: LexiconRegistry, config: FeatureConfig) -> dict[str, Lexicon]:
@@ -506,16 +500,12 @@ def resolve_family_lexicons(registry: LexiconRegistry, config: FeatureConfig) ->
     ``aoa`` averages the two age-of-acquisition registry entries when both are
     present; ``prior_complexity`` unions every binary ``prior_complexity*``
     entry; ``frequency`` reads the ``frequency`` entry when its source is
-    ``lexicon``. A missing backing resource raises ResourceError naming the
-    family (see ``check_resources``). Merged views are built once per
-    registry (``LexiconRegistry.view``).
+    ``lexicon``. A family its lexicons cannot back raises the ResourceError
+    of ``check_resources``. Merged views are built once per registry
+    (``LexiconRegistry.view``).
     """
-    views: dict[str, Lexicon] = {}
-    for block, names in _lexicon_reads(config, registry.names()):
-        if not names:
-            raise _no_lexicon(block, config)
-        views[block.family] = registry.view(tuple(names), block.merge)
-    return views
+    reads = check_resources(config, registry.lexicons)
+    return {block.family: registry.view(names, block.merge) for block, names in reads if names}
 
 
 def fit_schema(
@@ -548,9 +538,9 @@ def distinct_inputs(instances: Sequence[Instance], config: FeatureConfig) -> tup
     ``extract_matrix(representatives)[where]``.
 
     Instances are the same input when their ``_key`` is equal, or, when an
-    enabled block reads the sentence, their token and sentence are.
+    enabled block is ``tagged``, their token and sentence are.
     """
-    whole = any(block.reads_sentence for block in _enabled_blocks(config))
+    whole = any(block.tagged for block in _enabled_blocks(config))
     first: dict = {}  # key -> (position, representative)
     where = np.empty(len(instances), dtype=np.intp)
     for i, inst in enumerate(instances):

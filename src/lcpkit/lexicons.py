@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
+from types import MappingProxyType
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError, decode_utf8
@@ -241,13 +242,20 @@ class LexiconRegistry:
         self._views.clear()
 
     def view(self, names: tuple[str, ...], merge: Callable[[list[Lexicon]], Lexicon]) -> Lexicon:
-        """``merge`` applied to the named lexicons, built on the first call
-        for these names and returned as is after that, until the next
-        ``add``. Lexicons are frozen, so a kept view cannot go stale; callers
-        must merge a given tuple of names one way only."""
+        """The one named lexicon, or ``merge`` applied to the named lexicons,
+        built on the first call for these names and returned as is after
+        that, until the next ``add``. Lexicons are frozen, so a kept view
+        cannot go stale; callers must merge a given tuple of names one way
+        only."""
         if names not in self._views:
-            self._views[names] = merge([self._by_name[name] for name in names])
+            found = [self._by_name[name] for name in names]
+            self._views[names] = found[0] if len(found) == 1 else merge(found)
         return self._views[names]
+
+    @property
+    def lexicons(self) -> Mapping[str, Lexicon]:
+        """Every lexicon added, by name; read-only."""
+        return MappingProxyType(self._by_name)
 
     def get(self, name: str) -> Lexicon | None:
         return self._by_name.get(name)

@@ -59,11 +59,12 @@ def predict_scores(
     """Clamped complexity predictions for instances under a fitted pipeline.
     Each distinct input (``distinct_inputs``) is extracted and scored once.
 
-    An input of at least twice ``_FORK_MIN_PAIRS`` (distinct row, tree)
-    pairs is split into contiguous shares of at least ``_FORK_MIN_PAIRS``
-    pairs, at most one per usable CPU, each extracted and scored in a forked
-    worker (``forest.forked_map``). A row's score does not depend on the
-    rows scored with it, so the result is the same bytes for any share."""
+    The distinct inputs are split into contiguous shares, each extracted and
+    scored by ``forest.forked_map``: one share, in this process, below twice
+    ``_FORK_MIN_PAIRS`` (distinct row, tree) pairs, else shares of at least
+    ``_FORK_MIN_PAIRS`` pairs, at most one per usable CPU, each in a forked
+    worker. A row's score does not depend on the rows scored with it, so the
+    result is the same bytes for any share."""
     columns, names = list(schema.columns), model.feature_names
     if columns != names:
         at = next((i for i, (a, b) in enumerate(zip(columns, names)) if a != b), None)
@@ -74,13 +75,11 @@ def predict_scores(
         )
         raise DataError(f"schema does not match the model's features: {differ}")
     representatives, where = distinct_inputs(instances, schema.config)
-    pairs = len(representatives) * model.roots.size
-    workers = 1 if pairs < 2 * _FORK_MIN_PAIRS else min(forest._usable_cpus(), pairs // _FORK_MIN_PAIRS)
-    if workers == 1:
-        X = extract_matrix(representatives, schema, registry, tagger)
-        return np.clip(forest.predict_batch(model, X), 0.0, 1.0)[where]
-    # The registry keeps the merged views built here, and the workers inherit them.
-    features.resolve_family_lexicons(registry, schema.config)
+    most = len(representatives) * model.roots.size // _FORK_MIN_PAIRS
+    workers = min(forest._usable_cpus(), most) if most > 1 else 1
+    if workers > 1:
+        # The registry keeps the merged views built here, and the workers inherit them.
+        features.resolve_family_lexicons(registry, schema.config)
     n = len(representatives)
     bounds = [n * k // workers for k in range(workers + 1)]
     shares = [representatives[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -89,7 +88,7 @@ def predict_scores(
 
 
 def _score_share(k: int, task: tuple) -> np.ndarray:
-    """The raw scores of share k of a forked ``predict_scores`` ``task``."""
+    """The raw scores of share k of a ``predict_scores`` ``task``."""
     shares, schema, model, registry, tagger = task
     return forest.predict_batch(model, extract_matrix(shares[k], schema, registry, tagger))
 

@@ -432,18 +432,37 @@ class TestPredict:
         assert code == 3
 
 
+#: ``--features``, the ``[lexicon:NAME]`` sections of the config (every path
+#: a missing file) and the error of a family its resources cannot back
+UNBACKED_FAMILIES = [
+    ("length,frequency", "", "feature family 'frequency' has no backing lexicon (expected registry entry: frequency)"),
+    ("length,pos", "", "feature family 'pos' is enabled but no tagger is configured"),
+    ("length,aoa", "[lexicon:aoa_1981]\nkind = binary\n",
+     "feature family 'aoa': lexicons ['aoa_1981'] are not continuous"),
+    ("length,aoa", "[lexicon:aoa_1981]\nkind = binary\n[lexicon:aoa_2017]\n",
+     "feature family 'aoa': lexicons ['aoa_1981'] are not continuous"),
+    ("length,prior_complexity", "[lexicon:prior_complexity_x]\n",
+     "feature family 'prior_complexity': lexicons ['prior_complexity_x'] are not binary"),
+    ("length,aoa", "[lexicon:aoa_1981]\nlowercase = false\n[lexicon:aoa_2017]\n",
+     "feature family 'aoa': lexicons ['aoa_1981', 'aoa_2017'] differ in lowercase"),
+]
+
+
 class TestResourcesBeforeInputs:
-    """A feature family without its lexicon or tagger is refused from the
-    config's names alone, before any dataset is read."""
+    """A feature family without its lexicon or tagger, or whose lexicons
+    cannot back it, is refused from the config alone, before any lexicon or
+    dataset is read."""
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
-    @pytest.mark.parametrize("features, message", [
-        ("length,frequency", "feature family 'frequency' has no backing lexicon (expected registry entry: frequency)"),
-        ("length,pos", "feature family 'pos' is enabled but no tagger is configured"),
+    @pytest.mark.parametrize("features, sections, message", [
+        pytest.param(features, sections, message,
+                     id="-".join([features, *re.findall(r"\[lexicon:(\w+)\]", sections), message]))
+        for features, sections, message in UNBACKED_FAMILIES
     ])
-    def test_training_dataset_not_read(self, tmp_path, command, features, message):
+    def test_training_dataset_not_read(self, tmp_path, command, features, sections, message):
         config = tmp_path / "bare.ini"
-        config.write_text("[forest]\nn_trees = 2\n")
+        missing = tmp_path / "missing.tsv"
+        config.write_text("[forest]\nn_trees = 2\n" + re.sub(r"(\[lexicon:\w+\]\n)", rf"\1path = {missing}\n", sections))
         not_a_dataset = tmp_path / "notes.txt"
         not_a_dataset.write_text("not a dataset\n")
         out = ["--model", tmp_path / "m.lcpmodel"] if command == "train" else ["--report", tmp_path / "r.md"]

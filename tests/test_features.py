@@ -11,17 +11,19 @@ from lcpkit.corpus import Instance
 from lcpkit.errors import DataError, LcpkitError, ResourceError
 from lcpkit.features import (
     FEATURE_FAMILIES,
+    FREQUENCY_SOURCES,
     POS_TAGSET,
     FeatureConfig,
     FeatureSchema,
     LexiconTagger,
     PRESETS,
     char_ngrams,
+    check_resources,
     extract_matrix,
     fit_schema,
     syllable_count,
 )
-from lcpkit.lexicons import Lexicon
+from lcpkit.lexicons import BINARY, CONTINUOUS, Lexicon, LexiconSpec
 
 from conftest import binary_lexicon, continuous_lexicon, make_registry, mutated, mutated_json, tsv_inputs
 
@@ -300,6 +302,60 @@ def sidecar_schema() -> FeatureSchema:
         frequency_source="corpus_internal",
     )
     return fit_schema(train, registry, config, LexiconTagger({"cat": "NOUN"}))
+
+
+#: Registry names a config may hold: every fixed name a family reads, some
+#: ``prior_complexity*`` names and some that no family reads.
+CONFIGURABLE_NAMES = (
+    "aoa_1981", "aoa_2017", "frequency", "prevalence", "concreteness_brysbaert", "concreteness_mrc",
+    "familiarity_mrc", "arousal", "prior_complexity", "prior_complexity_2016", "prior_complexity_wcl",
+    "aoa", "pos", "complexity",
+)
+
+
+class TestResourceCheck:
+    """``check_resources`` on the configured specs refuses exactly what
+    ``fit_schema`` refuses on the loaded lexicons, and names exactly the
+    registry entries that extraction reads."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except (LcpkitError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        enabled=st.frozensets(st.sampled_from(FEATURE_FAMILIES), min_size=1),
+        frequency_source=st.sampled_from(FREQUENCY_SOURCES),
+        configured=st.dictionaries(
+            st.sampled_from(CONFIGURABLE_NAMES), st.tuples(st.sampled_from([CONTINUOUS, BINARY]), st.booleans())
+        ),
+        has_tagger=st.booleans(),
+    )
+    def test_names_only_check_agrees_with_extraction(self, enabled, frequency_source, configured, has_tagger):
+        config = FeatureConfig(enabled=enabled, frequency_source=frequency_source)
+        specs = {
+            name: LexiconSpec(name=name, path=f"{name}.tsv", kind=kind, lowercase=lowercase)
+            for name, (kind, lowercase) in configured.items()
+        }
+        registry = make_registry(**{
+            name: Lexicon(name, spec.kind, {"cat": 1.0}, spec.lowercase) for name, spec in specs.items()
+        })
+        read: list[str] = []
+        view = registry.view
+        registry.view = lambda names, merge: read.extend(names) or view(names, merge)
+        tagger = LexiconTagger({"cat": "NOUN"}) if has_tagger else None
+
+        def checked():
+            return [name for _, names in check_resources(config, specs, has_tagger) for name in names]
+
+        def extracted():
+            fit_schema([inst("cat")], registry, config, tagger)
+            return read
+
+        assert self.outcome(checked) == self.outcome(extracted)
 
 
 class TestExtract:

@@ -342,7 +342,8 @@ class TestForkedScoring:
         monkeypatch.setattr(pipeline, "_score_share", spy)
         monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
         predict_scores(batch, result.schema, result.model, registry)
-        assert shares == []  # one worker: the whole input, in process, with no shares
+        assert shares == [["q0", "q1", "q2", "q3", "q4", "q5", "q6"]]  # one worker: one share, in process
+        shares.clear()
         # without fork the shares are scored in process, so the spy sees them
         with mock.patch("multiprocessing.get_all_start_methods", return_value=["spawn"]):
             monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
