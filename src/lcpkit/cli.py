@@ -45,21 +45,15 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
 from .corpus import band_of, parse_dataset, split_train_dev
 from .errors import DataError, LcpkitError, ResourceError, decode_utf8
 from .evaluation import AblationRow, MetricsReport, evaluate, format_metric, render_report
-from .features import (
-    FEATURE_FAMILIES,
-    PRESETS,
-    FeatureConfig,
-    FeatureSchema,
-    LexiconTagger,
-    check_resources,
-)
+from .features import PRESETS, FeatureConfig, FeatureSchema, LexiconTagger, check_resources
 from .forest import ForestConfig, load_model, save_model
 from .lexicons import LexiconRegistry, LexiconSpec, coverage, load_lexicon
 from .pipeline import EVAL_SIDES, ablation_features, fit_and_evaluate, predict_scores, run_ablation
@@ -83,21 +77,17 @@ class RunConfig:
     eval_on: str = "dev"
     seed: int = 0
     threads: int = 1
+    #: the preset that ``[features] preset`` or ``--preset`` names, unless
+    #: ``--features`` is given; ``_apply_common_flags`` sets
+    #: ``features.enabled`` from it, and the manifest records its name
     preset: str | None = None
-    #: the ``[features]`` values given, by FeatureConfig field name
-    features: dict = field(default_factory=dict)
+    features: FeatureConfig = field(default_factory=lambda: FeatureConfig.preset("baseline"))
     forest: ForestConfig = field(default_factory=ForestConfig)
     lexicons: dict[str, LexiconSpec] = field(default_factory=dict)
     pos_lexicon: str | None = None
     #: a record, not a setting: the hash of each input file the run read,
     #: by path as given, of exactly the bytes it read (``_read_input``)
     inputs: dict[str, str] = field(default_factory=dict)
-
-    def feature_config(self) -> FeatureConfig:
-        if self.preset is None and "enabled" in self.features:
-            return FeatureConfig(**self.features)
-        settings = {k: v for k, v in self.features.items() if k != "enabled"}
-        return FeatureConfig.preset("baseline" if self.preset is None else self.preset, **settings)
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -137,8 +127,8 @@ _PARSERS = {
 }
 
 #: Every ``[section] key`` of the run config: the RunConfig attribute it sets
-#: (``features.NAME`` is entry NAME of the feature values, ``forest.NAME``
-#: field NAME of the forest config) and its parser.
+#: (``features.NAME`` and ``forest.NAME`` are field NAME of the feature and
+#: forest configs) and its parser.
 _KEYS = {
     ("data", "train"): ("train_path", _parse_str),
     ("data", "dev_fraction"): ("dev_fraction", _parse_float),
@@ -163,12 +153,10 @@ def _set(cfg: RunConfig, section: str, key: str, raw: str) -> None:
     """Parse ``raw`` as the value of ``[section] key`` and set it in ``cfg``."""
     target, parse = _KEYS[section, key]
     value = parse(raw, f"[{section}] {key}")
-    if target.startswith("forest."):
-        cfg.forest = replace(cfg.forest, **{key: value})
-    elif target.startswith("features."):
-        cfg.features[key] = value
-    else:
-        setattr(cfg, target, value)
+    owner, _, name = target.rpartition(".")
+    if owner:  # a field of cfg.features or cfg.forest, which checks the value
+        value = replace(getattr(cfg, owner), **{name: value})
+    setattr(cfg, owner or name, value)
 
 
 def load_run_config(path: str | None) -> RunConfig:
@@ -190,6 +178,8 @@ def load_run_config(path: str | None) -> RunConfig:
                 name = section.split(":", 1)[1].strip()
                 if not name:
                     raise DataError(f"config section [{section}]: empty lexicon name")
+                if name in cfg.lexicons:  # configparser refuses only the same section text twice
+                    raise DataError(f"config section [{section}]: lexicon {name!r} is already configured")
                 spec = {f.name: f for f in fields(LexiconSpec) if f.name != "name"}
                 unknown = keys.keys() - spec.keys()
                 if unknown:
@@ -208,8 +198,6 @@ def load_run_config(path: str | None) -> RunConfig:
                 raise DataError(f"config section [{section}]: unknown keys {sorted(unknown)}")
             for key, raw in keys.items():
                 _set(cfg, section, key, raw)
-            if section == "features":  # the preset is checked where it is used, as --preset may replace it
-                FeatureConfig(**{"enabled": FEATURE_FAMILIES, **cfg.features})
         except ValueError as exc:  # a value LexiconSpec, ForestConfig or FeatureConfig refuses
             raise DataError(f"config section [{section}]: {exc}") from None
     if not parser.has_option("forest", "seed"):
@@ -232,7 +220,8 @@ def _apply_common_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         raise DataError(f"[data] dev_fraction must be in (0, 1), got {cfg.dev_fraction}")
     if cfg.eval_on not in EVAL_SIDES:
         raise DataError(f"[data] eval_on must be one of {EVAL_SIDES}, got {cfg.eval_on!r}")
-    cfg.feature_config()  # refuses a bad preset, whichever command runs
+    if cfg.preset is not None:  # refused here, not in the file, as --preset may replace it
+        cfg.features = replace(cfg.features, enabled=FeatureConfig.preset(cfg.preset).enabled)
     return cfg
 
 
@@ -290,20 +279,14 @@ _READS = {
 
 
 def _config_snapshot(cfg: RunConfig, sections: tuple[str, ...]) -> dict:
-    """Every key of ``sections`` as the run resolved it: the feature and
-    forest entries come from the configs that ran. The thread count is left
-    out, because it never changes an output byte."""
-    ran = {
-        f"{section}.{f.name}": getattr(config, f.name)
-        for section, config in (("features", cfg.feature_config()), ("forest", cfg.forest))
-        for f in fields(config)
-    }
-    ran["features.enabled"] = ",".join(sorted(ran["features.enabled"]))
+    """Every key of ``sections`` as the run resolved it, read back from the
+    attribute it sets. The thread count is left out, because it never
+    changes an output byte."""
     snap = {}
     for (section, key), (target, _) in _KEYS.items():
         if section in sections and (section, key) != ("run", "threads"):
-            name = f"{section}.{key}"
-            snap[name] = ran[name] if name in ran else getattr(cfg, target)
+            value = attrgetter(target)(cfg)
+            snap[f"{section}.{key}"] = ",".join(sorted(value)) if isinstance(value, frozenset) else value
     if "lexicon" in sections:
         for name, spec in sorted(cfg.lexicons.items()):
             snap[f"lexicon.{name}"] = spec.path
@@ -360,12 +343,11 @@ def _load_training(cfg: RunConfig, train_path: str, feature_config: FeatureConfi
 
 def cmd_train(args, cfg: RunConfig) -> int:
     train_path = _require(cfg.train_path, "--train")
-    feature_config = cfg.feature_config()
-    split, registry, tagger = _load_training(cfg, train_path, feature_config)
+    split, registry, tagger = _load_training(cfg, train_path, cfg.features)
     result = fit_and_evaluate(
         split,
         registry,
-        feature_config,
+        cfg.features,
         cfg.forest,
         tagger,
         eval_on=cfg.eval_on,
@@ -391,7 +373,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     # The model's own feature and forest settings replace the run config's,
     # so the manifest records what ran.
     cfg.preset = None
-    cfg.features = asdict(schema.config)
+    cfg.features = schema.config
     cfg.forest = model.config
     registry, tagger = load_resources(cfg, schema.config)
     instances = parse_dataset(_read_input(cfg, args.input, "input dataset"), has_gold=False)
@@ -456,12 +438,11 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 def cmd_ablate(args, cfg: RunConfig) -> int:
     train_path = _require(cfg.train_path, "--train")
     candidates = [c.strip() for c in args.candidates.split(",") if c.strip()]
-    baseline = cfg.feature_config()
-    split, registry, tagger = _load_training(cfg, train_path, ablation_features(baseline, candidates))
+    split, registry, tagger = _load_training(cfg, train_path, ablation_features(cfg.features, candidates))
     rows = run_ablation(
         split,
         registry,
-        baseline,
+        cfg.features,
         candidates,
         cfg.forest,
         tagger,

@@ -353,18 +353,8 @@ def _lexicon_block(family: str, names: tuple[str, ...] | None = None, merge=Bloc
     return Block(family, columns, fill, fit, lambda config: names or (family,), merge, kind)
 
 
-_NO_TAGGER = "feature family '{}' is enabled but no tagger is configured"
-
-
-def _require_tagger(rows: _Rows) -> Tagger:
-    if rows.tagger is None:
-        raise ResourceError(_NO_TAGGER.format("pos"))
-    return rows.tagger
-
-
 def _fill_pos(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
-    tagger = _require_tagger(rows)
-    tags = [pos_tag(inst.token, inst.sentence, tagger, schema.pos_tagset) for inst in rows.instances]
+    tags = [pos_tag(inst.token, inst.sentence, rows.tagger, schema.pos_tagset) for inst in rows.instances]
     out[:] = np.array(tags, dtype=str)[:, None] == np.array(schema.pos_tagset, dtype=str)
 
 
@@ -438,7 +428,6 @@ BLOCKS: tuple[Block, ...] = (
         "pos",
         lambda schema: tuple(f"pos={t}" for t in schema.pos_tagset),
         _fill_pos,
-        fit=lambda rows, config, state: _require_tagger(rows),
         tagged=True,
     ),
     _BIGRAM_LOGS,
@@ -471,7 +460,7 @@ def check_resources(
         if block.family not in config.enabled:
             continue
         if block.tagged and not has_tagger:
-            raise ResourceError(_NO_TAGGER.format(block.family))
+            raise ResourceError(f"feature family '{block.family}' is enabled but no tagger is configured")
         patterns = block.lexicons(config)
         names: list[str] = []
         if patterns:
@@ -494,17 +483,19 @@ def check_resources(
     return reads
 
 
-def resolve_family_lexicons(registry: LexiconRegistry, config: FeatureConfig) -> dict[str, Lexicon]:
+def resolve_family_lexicons(
+    registry: LexiconRegistry, config: FeatureConfig, has_tagger: bool = True
+) -> dict[str, Lexicon]:
     """Map each enabled lexicon-backed family to its backing lexicon.
 
     ``aoa`` averages the two age-of-acquisition registry entries when both are
     present; ``prior_complexity`` unions every binary ``prior_complexity*``
     entry; ``frequency`` reads the ``frequency`` entry when its source is
-    ``lexicon``. A family its lexicons cannot back raises the ResourceError
-    of ``check_resources``. Merged views are built once per registry
-    (``LexiconRegistry.view``).
+    ``lexicon``. A family its lexicons cannot back, or that is ``tagged``
+    when not ``has_tagger``, raises the ResourceError of ``check_resources``.
+    Merged views are built once per registry (``LexiconRegistry.view``).
     """
-    reads = check_resources(config, registry.lexicons)
+    reads = check_resources(config, registry.lexicons, has_tagger)
     return {block.family: registry.view(names, block.merge) for block, names in reads if names}
 
 
@@ -523,7 +514,7 @@ def fit_schema(
     """
     if not train:
         raise ValueError("cannot fit a schema on empty training data")
-    rows = _Rows(train, resolve_family_lexicons(registry, config), tagger)
+    rows = _Rows(train, resolve_family_lexicons(registry, config, tagger is not None), tagger)
     state: dict = {}
     for block in _enabled_blocks(config):
         if block.fit:
@@ -562,7 +553,7 @@ def extract_matrix(
     paired indicator set to 0, unknown n-grams count as 0, unknown POS maps
     to "X". The result never contains non-finite values.
     """
-    rows = _Rows(instances, resolve_family_lexicons(registry, schema.config), tagger)
+    rows = _Rows(instances, resolve_family_lexicons(registry, schema.config, tagger is not None), tagger)
     out = np.zeros((len(instances), len(schema.columns)), dtype=np.float64)
     for block, cols in schema._layout:
         block.fill(rows, schema, out[:, cols])

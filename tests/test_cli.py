@@ -6,6 +6,9 @@ import math
 import os
 import random
 import re
+import shutil
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -129,6 +132,28 @@ class TestTrain:
             workspace["tmp"] / "b.lcpmodel.schema.json"
         ).read_bytes()
 
+    def test_output_bytes_do_not_depend_on_the_hash_seed(self, workspace):
+        """Two fits in one process hash strings alike; an output that followed
+        the order of a set or a string-keyed dict would differ between two
+        interpreters with different hash seeds."""
+        out = workspace["tmp"] / "out"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        families = "length,syllables,frequency,aoa,prevalence,pos,char_trigrams,char_bigrams"
+        written = []
+        for hash_seed in ("1", "2"):
+            out.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            for argv in (
+                ["train", "--config", workspace["config"], "--model", out / "m.lcpmodel", "--features", families],
+                ["predict", "--config", workspace["config"], "--model", out / "m.lcpmodel",
+                 "--input", workspace["test"], "--output", out / "pred.tsv"],
+            ):
+                subprocess.run([sys.executable, "-m", "lcpkit.cli", *map(str, argv), "--quiet"], env=env, check=True)
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            shutil.rmtree(out)
+        assert len(written[0]) == 5
+        assert written[0] == written[1]
+
     def test_seed_flag_overrides_config(self, workspace):
         model = workspace["tmp"] / "s.lcpmodel"
         assert run("train", "--config", workspace["config"], "--model", model, "--seed", "9", "--quiet") == 0
@@ -230,6 +255,11 @@ class TestTrain:
         assert code == 1
         assert "threads" in capsys.readouterr().err
 
+    def test_unwritable_model_is_resource_error(self, workspace, capsys):
+        model = workspace["tmp"] / "missing" / "m.lcpmodel"
+        assert run("train", "--config", workspace["config"], "--model", model, "--quiet") == 3
+        assert capsys.readouterr().err.startswith("error: cannot write model output: ")
+
     def test_train_without_dataset_is_usage_error(self, tmp_path, capsys):
         code = run("train", "--model", tmp_path / "m.lcpmodel")
         assert code == 1
@@ -250,6 +280,11 @@ class TestTrain:
         ("[features]\nenabled = bogus\n", "[features]"),
         ("[features]\nenabled = ,\n", "[features]"),
         ("[lexicon: ]\npath = x.tsv\n", "[lexicon: ]"),
+        ("[forest]\nmin_samples_leaf = 0\n", "[forest]"),
+        ("[forest]\nmin_samples_split = 1\n", "[forest]"),
+        ("[features]\ntrigram_max_vocab = 0\n", "[features]"),
+        ("[lexicon:aoa_1981]\npath = a.tsv\n\n[lexicon: aoa_1981]\npath = b.tsv\n",
+         "[lexicon: aoa_1981]: lexicon 'aoa_1981' is already configured"),
     ])
     def test_config_value_error_is_data_error_naming_section(self, tmp_path, text, section):
         cfg = tmp_path / "bad.ini"
@@ -592,6 +627,14 @@ class TestEvaluate:
         assert code == 2
         assert f"predictions file {pred} line 3: non-finite prediction" in capsys.readouterr().err
 
+    def test_gold_without_labels_is_data_error(self, workspace, capsys):
+        pred = workspace["tmp"] / "pred.tsv"
+        pred.write_text("id\tprediction\nt0000\t0.5\n")
+        gold = workspace["tmp"] / "unlabeled.tsv"
+        gold.write_text("id\tcorpus\tsentence\ttoken\tcomplexity\nt0000\tbible\ta cat\tcat\t\n")
+        assert run("evaluate", "--pred", pred, "--gold", gold) == 2
+        assert capsys.readouterr().err == f"error: gold dataset {gold} contains no labeled instances\n"
+
     def test_missing_ids_listed(self, workspace, capsys):
         pred = workspace["tmp"] / "pred.tsv"
         pred.write_text("id\tprediction\nt0000\t0.5\n")
@@ -619,6 +662,14 @@ class TestAblate:
                    "--report", report)
         assert code == 2
         assert capsys.readouterr().err == "error: duplicate candidate families\n"
+        assert not report.exists()
+
+    def test_empty_evaluation_side_is_data_error(self, workspace, capsys):
+        # 0.5% of 60 rows rounds to a dev side of none
+        report = workspace["tmp"] / "empty_dev.md"
+        code = run("ablate", "--config", workspace["config"], "--report", report, "--dev-fraction", 0.005)
+        assert code == 2
+        assert capsys.readouterr().err == "error: ablation evaluation side is empty; nothing to score\n"
         assert not report.exists()
 
     def test_empty_candidates(self, workspace):
@@ -795,6 +846,7 @@ BAD_CONFIG_LINES = [
     "[features]\nfrequency_source = nope", "[forest]\nn_trees = 0", "[forest]\nbootstrap = maybe",
     "[forest]\nmax_depth = x", "[forest]\nbogus = 1", "[bogus]\nx = 1", "[lexicon:y]\npath = y.tsv\nkind = weird",
     "[lexicon:y]\npath = y.tsv\nskip_rows = -1", "[lexicon: ]\npath = y.tsv", "no section header",
+    "[lexicon: x]\npath = y.tsv",
 ]
 
 

@@ -803,6 +803,11 @@ class TestPersistence:
         with pytest.raises(DataError, match=r"missing \[config\]"):
             load_model(model_text("[tree 0]\nL 0.5\n", schema="f0\n[tree 0]\nL 0.5"))
 
+    def test_later_tree_section_inside_schema_rejected(self):
+        # a schema line that opens a later tree, before the [config] line
+        with pytest.raises(DataError, match=r"^model file: missing \[config\] section$"):
+            load_model(model_text("[tree 0]\nL 0.5\n", schema="f0\n[tree 1]"))
+
     @pytest.mark.parametrize("loaded", [False, True])
     def test_forest_rebuilt_from_its_tree_views_is_the_same(self, loaded):
         rng = np.random.default_rng(13)

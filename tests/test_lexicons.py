@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcpkit.errors import DataError
 from lcpkit.lexicons import (
+    LexiconRegistry,
     LexiconSpec,
     coverage,
     load_lexicon,
@@ -116,6 +118,11 @@ class TestMergeAverage:
         with pytest.raises(ValueError):
             merge_average(continuous_lexicon("a", {"x": 1.0}), binary_lexicon("b", {"x": 1.0}))
 
+    def test_lowercase_mismatch_rejected(self):
+        a = continuous_lexicon("a", {"x": 1.0})
+        with pytest.raises(ValueError, match="matching normalization"):
+            merge_average(a, replace(a, name="b", lowercase=False))
+
 
 class TestMergeBinaryUnion:
     def test_conflict_resolves_to_one(self):
@@ -159,6 +166,20 @@ class TestMergeBinaryUnion:
     def test_non_binary_source_rejected(self):
         with pytest.raises(ValueError):
             merge_binary_union([continuous_lexicon("a", {"x": 2.0})])
+
+    def test_lowercase_mismatch_rejected(self):
+        a = binary_lexicon("a", {"x": 1.0})
+        with pytest.raises(ValueError, match="matching normalization"):
+            merge_binary_union([a, replace(a, name="b", lowercase=False)])
+
+
+class TestRegistry:
+    def test_repeated_name_rejected(self):
+        registry = LexiconRegistry()
+        registry.add(continuous_lexicon("aoa_1981", {"x": 1.0}))
+        with pytest.raises(ValueError, match="duplicate lexicon name 'aoa_1981'"):
+            registry.add(continuous_lexicon("aoa_1981", {"y": 2.0}))
+        assert registry.get("aoa_1981").entries == {"x": 1.0}
 
 
 class TestLookupCoverage:
