@@ -7,7 +7,7 @@ over all midpoints between consecutive distinct sorted feature values. Ties
 are broken toward the lower feature index, then the lower threshold.
 
 The search is screened: features with few distinct values are scored at
-every boundary by one matrix product per node, and only those whose score
+every boundary from one pass of sums per node, and only those whose score
 comes within a rounding bound of the best go, with every many-valued
 feature, to the exhaustive search (``_best_split``). The result is the
 exhaustive search's, bit for bit (see ``_Screen.split``).
@@ -220,8 +220,9 @@ class _Screen:
     feature, in feature order. A node carries ``(act, sums, err)``: the
     boundaries that cut it (a boundary that cuts no row off a node cuts none
     off its children either), their left counts (exact) and left target
-    sums (each within ``err`` of its exact value), from one product
-    ``[1, y][rows].T @ ind[rows, act]``.
+    sums (each within ``err`` of its exact value), summed over the node's
+    rows by ``np.einsum``, which makes no BLAS call: a fit worker then runs
+    on its own thread only.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
@@ -255,8 +256,8 @@ class _Screen:
         """
         n = self.ind.shape[0]
         if idx.size * 8 > n:
-            return (self.ind.T @ (self.ones_y * np.bincount(idx, minlength=n)[:, None])).T[:, act]
-        return self.ones_y[idx].T @ self.ind.take(idx, axis=0).take(act, axis=1)
+            return np.einsum("ij,ik->kj", self.ind, self.ones_y * np.bincount(idx, minlength=n)[:, None])[:, act]
+        return np.einsum("ij,ik->kj", self.ind.take(idx, axis=0).take(act, axis=1), self.ones_y[idx])
 
     @staticmethod
     def _cutting(act, sums, m, err):
@@ -328,7 +329,7 @@ class _Screen:
         top = float(score.max(initial=-np.inf))
         keep = np.zeros(0, dtype=np.intp)
         if top > -np.inf:
-            floor = top - 4.0 * _screen_bound(m, peak, total_abs, float(ysub @ ysub), err)
+            floor = top - 4.0 * _screen_bound(m, peak, total_abs, float(np.einsum("i,i->", ysub, ysub)), err)
             keep = np.unique(feature[score >= floor])
         verify = np.sort(np.concatenate([exact, keep]))
         if not verify.size:

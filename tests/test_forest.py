@@ -5,6 +5,9 @@ import multiprocessing
 import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -270,6 +273,30 @@ class TestWorkers:
         with pytest.raises(ValueError, match="n_threads must be >= 0"):
             fit([[1.0], [2.0]], [0.0, 1.0], single_tree_config(), n_threads=-1)
 
+    @pytest.mark.skipif(forest_module._usable_cpus() < 2, reason="needs a second CPU for another thread to run on")
+    def test_fit_runs_on_the_calling_thread_only(self):
+        """Growing a tree makes no BLAS call, so N fit workers keep to N
+        threads: no library thread of the process uses CPU during a fit or
+        in the 0.3 s after it (a BLAS pool spins about 0.14 s after a call)."""
+        code = textwrap.dedent(
+            """
+            import time
+            import numpy as np
+            from lcpkit.forest import ForestConfig, fit
+            rng = np.random.default_rng(0)
+            X = (rng.random((4000, 200)) < 0.2).astype(float)
+            y = rng.random(4000)
+            process, thread = time.process_time(), time.thread_time()
+            fit(X, y, ForestConfig(n_trees=1, max_depth=4, seed=0))
+            time.sleep(0.3)
+            print((time.process_time() - process) - (time.thread_time() - thread))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(forest_module.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert float(run.stdout) < 0.05
+
 
 class TestSplitOptimality:
     def test_matches_brute_force_on_random_cases(self):
@@ -432,6 +459,34 @@ class TestScreenedSearch:
         assert calls
         for feats, verified in calls:
             assert np.array_equal(np.sort(feats), verified)
+
+    @settings(deadline=None)
+    @given(st.integers(8, 300), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_sums_are_within_the_error_the_bound_assumes(self, n, gather, seed):
+        """Every screen state's counts are exact and its target sums within
+        its ``err`` of the exact sums, for a root over a bootstrap-like sample
+        (rows repeat), a random subset of its boundaries, and both children:
+        the smaller from its rows, the larger as the parent minus the
+        smaller. ``gather`` picks which way the root's sums are formed."""
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([rng.random((n, 3)) < 0.3, rng.integers(0, 5, size=(n, 3))]).astype(float)
+        # magnitudes spread over six decades, both signs: float sums round
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        screen = forest_module._Screen(X, y, 1)
+        idx = rng.integers(0, n, size=rng.integers(1, n // 8 + 1) if gather else rng.integers(n // 8 + 1, n + 1))
+        assert (idx.size * 8 > n) != gather
+        act, sums, err = screen.root(idx)
+        some = rng.random(act.size) < 0.7
+        node = (act[some], sums[:, some], err)
+        goes_left = rng.random(idx.size) < rng.uniform(0.1, 0.9)
+        left, right = idx[goes_left], idx[~goes_left]
+        states = screen.children(node, left, right, float(np.abs(y[idx]).sum()))
+        for rows, (act, sums, err) in zip((idx, left, right), (node, *states)):
+            inside = screen.ind[np.ix_(rows, act)] == 1.0
+            assert np.array_equal(sums[0], inside.sum(axis=0))
+            for b in range(act.size):
+                exact = sum(map(Fraction, y[rows][inside[:, b]].tolist()), Fraction(0))
+                assert abs(Fraction(sums[1, b]) - exact) <= err
 
     @pytest.mark.parametrize(
         "config,sha",
