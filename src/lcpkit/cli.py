@@ -164,7 +164,8 @@ def load_run_config(path: str | None) -> RunConfig:
     if path is None:
         return cfg
     text = decode_utf8(_read_file(path, "config file"), f"config file {path}:")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header can be named "\n", so [DEFAULT] is refused as an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         # universal newlines, as reading the file in text mode gives
         parser.read_file(io.StringIO(text, newline=None), source=path)

@@ -222,16 +222,13 @@ class _Screen:
     off its children either), their left counts (exact) and left target
     sums (each within ``err`` of its exact value), summed over the node's
     rows by ``np.einsum``, which makes no BLAS call: a fit worker then runs
-    on its own thread only.
+    on its own thread only. A node that no boundary cuts and on which no
+    ``exact`` feature takes two values has no feature to split on.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
         self.X, self.y, self.min_samples_leaf = X, y, min_samples_leaf
-        n, d = X.shape
-        # rows with byte-identical features share a label; a node of one
-        # label has no feature to split on
-        rows = np.ascontiguousarray(X).view(np.dtype((np.void, d * X.itemsize))).ravel()
-        self.row_label = np.unique(rows, return_inverse=True)[1].ravel()
+        n = X.shape[0]
         xs = X.T.copy()
         xs.sort(axis=1)
         new = xs[:, 1:] != xs[:, :-1]
@@ -308,12 +305,11 @@ class _Screen:
         X, y, min_samples_leaf = self.X, self.y, self.min_samples_leaf
         m = idx.size
         total, peak, total_abs = spread
-        labels = self.row_label[idx]
-        if labels.min() == labels.max():
+        act, (count, left), err = node
+        if not act.size and not np.ptp(X[np.ix_(idx, self.exact)], axis=0).any():
             return None
         if not (m <= 1 << 30 and 2.0**-400 <= peak <= 2.0**400):
             return _best_split(X, y, idx, feats, min_samples_leaf)
-        act, (count, left), err = node
         right = total - left
         n_right = m - count
         score = left * left / count + right * right / n_right

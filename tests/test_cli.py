@@ -283,6 +283,9 @@ class TestTrain:
         ("[forest]\nmin_samples_leaf = 0\n", "[forest]"),
         ("[forest]\nmin_samples_split = 1\n", "[forest]"),
         ("[features]\ntrigram_max_vocab = 0\n", "[features]"),
+        ("[forest]\nmax_features_per_split = 0\n", "[forest]: max_features_per_split must be >= 1"),
+        ("[forest]\nmax_depth = -1\n", "[forest]: max_depth must be None or >= 0"),
+        ("[lexicon:x]\npath = x.tsv\nbogus = 1\n", "[lexicon:x]: unknown keys ['bogus']"),
         ("[lexicon:aoa_1981]\npath = a.tsv\n\n[lexicon: aoa_1981]\npath = b.tsv\n",
          "[lexicon: aoa_1981]: lexicon 'aoa_1981' is already configured"),
     ])
@@ -296,6 +299,18 @@ class TestTrain:
         cfg = tmp_path / "typo.ini"
         cfg.write_text("[fores]\nn_trees = 3\n")
         with pytest.raises(DataError, match=re.escape(f"config file {cfg}: unknown section [fores]")):
+            load_run_config(str(cfg))
+
+    @pytest.mark.parametrize("text", [
+        "[run]\nthreads = 1\n\n[DEFAULT]\nseed = 3\n",
+        "[DEFAULT]\npath = nowhere.tsv\n\n[lexicon:prevalence]\nkind = continuous\n",
+        "[DEFAULT]\n",
+    ])
+    def test_default_section_is_refused(self, tmp_path, text):
+        # configparser would copy its keys into every other section
+        cfg = tmp_path / "default.ini"
+        cfg.write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"config file {cfg}: unknown section [DEFAULT]")):
             load_run_config(str(cfg))
 
     @pytest.mark.parametrize("raw,value", [("true", True), ("TRUE", True), ("Off", False)])
@@ -846,7 +861,7 @@ BAD_CONFIG_LINES = [
     "[features]\nfrequency_source = nope", "[forest]\nn_trees = 0", "[forest]\nbootstrap = maybe",
     "[forest]\nmax_depth = x", "[forest]\nbogus = 1", "[bogus]\nx = 1", "[lexicon:y]\npath = y.tsv\nkind = weird",
     "[lexicon:y]\npath = y.tsv\nskip_rows = -1", "[lexicon: ]\npath = y.tsv", "no section header",
-    "[lexicon: x]\npath = y.tsv",
+    "[lexicon: x]\npath = y.tsv", "[DEFAULT]\nseed = 3",
 ]
 
 

@@ -125,6 +125,10 @@ class TestSpearman:
         for x in inputs:
             assert rank_average(x).tolist() == stats.rankdata(x, method="average").tolist()
 
+    def test_too_short_rejected(self):
+        with pytest.raises(ValueError, match="spearman requires at least 2 points"):
+            spearman([1.0], [2.0])
+
     def test_negation_flips_sign(self):
         x = [0.3, 0.9, 0.1, 0.5]
         y = [0.2, 0.8, 0.4, 0.6]

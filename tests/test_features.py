@@ -93,6 +93,10 @@ class TestCharNgrams:
         with pytest.raises(ValueError):
             char_ngrams("cat", n)
 
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="non-empty word"):
+            char_ngrams("", 3)
+
 
 class TestFeatureConfig:
     def test_presets(self):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
@@ -122,6 +123,14 @@ class TestFit:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit([[1.0], [2.0]], [0.0, 1.0, 2.0], single_tree_config())
+
+    def test_one_dimensional_x_rejected(self):
+        with pytest.raises(ValueError, match="X must be 2-dimensional"):
+            fit([1.0, 2.0], [0.0, 1.0], single_tree_config())
+
+    def test_too_few_feature_names_rejected(self):
+        with pytest.raises(ValueError, match="expected 2 feature names, got 1"):
+            fit([[1.0, 2.0], [2.0, 1.0]], [0.0, 1.0], single_tree_config(), feature_names=["a"])
 
     @pytest.mark.parametrize("name", ["a\u2028b", "a\n", "a\rb", "[config]", "[tree 0]", "[trees"])
     def test_names_a_model_file_cannot_hold_rejected(self, name):
@@ -488,6 +497,64 @@ class TestScreenedSearch:
                 exact = sum(map(Fraction, y[rows][inside[:, b]].tolist()), Fraction(0))
                 assert abs(Fraction(sums[1, b]) - exact) <= err
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_node_with_no_feature_to_split_on_ends_without_a_search(self, seed):
+        """A split attempt on a node where no feature takes two values
+        returns None without running ``_best_split``. The rows are drawn
+        from 40 tokens, so they repeat and some attempts end there; the last
+        column takes 40 values, so it is an exact feature."""
+        rng = np.random.default_rng(seed)
+        token = rng.integers(0, 40, size=300)
+        X = np.column_stack([
+            rng.random((40, 6))[token] < 0.4, rng.integers(0, 4, size=(40, 2))[token], rng.normal(size=40)[token],
+        ]).astype(float)
+        y = np.round(rng.random(300) * 40) / 40
+        attempts, searches = [], []
+        real_split, real_best_split = forest_module._Screen.split, forest_module._best_split
+
+        def split(screen, idx, *rest):
+            before = len(searches)
+            result = real_split(screen, idx, *rest)
+            attempts.append((np.ptp(screen.X[idx], axis=0).any(), len(searches) > before, result))
+            return result
+
+        def best_split(*args):
+            searches.append(args)
+            return real_best_split(*args)
+
+        with mock.patch.object(forest_module._Screen, "split", split), \
+                mock.patch.object(forest_module, "_best_split", best_split):
+            fit(X, y, ForestConfig(n_trees=3, max_features_per_split=4, seed=seed))
+        ends = [(searched, result) for varies, searched, result in attempts if not varies]
+        assert ends
+        assert ends == [(False, None)] * len(ends)
+
+    def test_rows_that_differ_only_in_the_sign_of_zero_end_without_a_search(self):
+        # column 0 is screened, column 1 (20 distinct values) is exact
+        X = np.column_stack([np.r_[np.arange(20) % 2, 0.0, -0.0], np.r_[np.arange(20), 5, 5]]).astype(float)
+        y = np.linspace(0.0, 1.0, 22)
+        screen = forest_module._Screen(X, y, 1)
+        idx = np.array([20, 21])
+        ysub = y[idx]
+        spread = (float(ysub.sum()), float(np.abs(ysub).max()), float(np.abs(ysub).sum()))
+        with mock.patch.object(forest_module, "_best_split", side_effect=AssertionError("searched")):
+            assert screen.split(idx, ysub, np.arange(2), screen.root(idx), spread) is None
+
+    def test_building_the_screen_holds_at_most_one_transposed_copy_of_x(self):
+        """Beyond what it keeps, building the screen needs at most one
+        transposed copy of X (and its boundary flags)."""
+        rng = np.random.default_rng(24)
+        X = np.column_stack([rng.random((4000, 295)) < 0.05, rng.normal(size=(4000, 5))]).astype(float)
+        y = rng.random(4000)
+        tracemalloc.start()
+        try:
+            screen = forest_module._Screen(X, y, 1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert screen.exact.size == 5
+        assert peak - held <= 1.25 * X.nbytes
+
     @pytest.mark.parametrize(
         "config,sha",
         [
@@ -532,6 +599,11 @@ class TestPredict:
         model = fit([[1.0], [2.0]], [0.0, 1.0], single_tree_config())
         with pytest.raises(ValueError):
             predict_batch(model, [[1.0, 2.0]])
+
+    def test_one_dimensional_probe_rejected(self):
+        model = fit([[1.0], [2.0]], [0.0, 1.0], single_tree_config())
+        with pytest.raises(ValueError, match="X must be 2-dimensional"):
+            predict_batch(model, [1.0])
 
     def test_non_finite_probe_rejected(self):
         model = fit([[1.0], [2.0]], [0.0, 1.0], single_tree_config())
