@@ -315,11 +315,17 @@ def _fill_pair(out: np.ndarray, found: list, missing: float) -> None:
 
 def _fill_frequency(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
     if schema.config.frequency_source == "corpus_internal":
-        counts = schema.internal_frequency or {}
+        counts = schema.internal_frequency
         raw = [counts.get(key.lower()) for key in rows.keys]
     else:
         raw = rows.lookup("frequency")
     _fill_pair(out, [None if v is None else math.log1p(max(float(v), 0.0)) for v in raw], 0.0)
+
+
+def _frequency_columns(schema: FeatureSchema) -> tuple[str, ...]:
+    if schema.config.frequency_source == "corpus_internal" and schema.internal_frequency is None:
+        raise ValueError("feature family 'frequency' has no corpus-internal counts")
+    return ("frequency", "frequency_present")
 
 
 def _fit_frequency(rows: _Rows, config: FeatureConfig, state: dict) -> None:
@@ -412,7 +418,7 @@ BLOCKS: tuple[Block, ...] = (
     Block("syllables", lambda schema: ("syllables",), _per_key(syllable_count)),
     Block(
         "frequency",
-        lambda schema: ("frequency", "frequency_present"),
+        _frequency_columns,
         _fill_frequency,
         fit=_fit_frequency,
         lexicons=lambda config: ("frequency",) if config.frequency_source == "lexicon" else (),

@@ -240,8 +240,10 @@ class _Screen:
         self.exact = np.setdiff1d(np.flatnonzero(width), cols)
         self.feature, pos = np.nonzero(new[cols])
         self.feature = cols[self.feature]
+        value = xs[self.feature, pos]
+        del xs, new  # freed before ``ind``, which is about as large, is allocated
         self.ind = X.take(self.feature, axis=1)
-        np.less_equal(self.ind, xs[self.feature, pos], out=self.ind)
+        np.less_equal(self.ind, value, out=self.ind)
         self.ones_y = np.column_stack([np.ones(n), y])
 
     def _sums(self, idx: np.ndarray, act: np.ndarray) -> np.ndarray:
@@ -591,32 +593,29 @@ def predict_batch(model: RandomForest, X) -> np.ndarray:
     return acc[0] / n_trees
 
 
-def save_model(model: RandomForest, sink: IO[bytes]) -> None:
-    """Write the line-oriented text model format (canonical, byte-stable)."""
-    lines = [f"{_MAGIC} {_VERSION}", "[schema]"]
-    lines.extend(model.feature_names)
-    lines.append("[config]")
-    for f in fields(ForestConfig):
-        value = getattr(model.config, f.name)
-        if value is None:
-            value = "none"
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name}={value}")
-    for i, tree in enumerate(model.trees):
-        lines.append(f"[tree {i}]")
-        columns = (getattr(tree, name).tolist() for name in ("feature", "threshold", "left", "right", "value"))
-        for f, thr, left, right, value in zip(*columns):
-            lines.append(f"L {value!r}" if f < 0 else f"N {f} {thr!r} {left} {right}")
-    sink.write(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-#: How a model file's ``[config]`` value is read, by the ForestConfig field's annotation.
-_CONFIG_PARSERS = {
-    "int": int,
-    "bool": {"true": True, "false": False}.__getitem__,
-    "int | None": lambda raw: None if raw == "none" else int(raw),
+#: How a model file spells a ``[config]`` value, by the ForestConfig field's
+#: annotation: the value's writer and the raw text's reader.
+_CONFIG_SPELLINGS = {
+    "int": (str, int),
+    "bool": ({True: "true", False: "false"}.__getitem__, {"true": True, "false": False}.__getitem__),
+    "int | None": (
+        lambda value: "none" if value is None else str(value),
+        lambda raw: None if raw == "none" else int(raw),
+    ),
 }
+
+
+def save_model(model: RandomForest, sink: IO[bytes]) -> None:
+    """Write the line-oriented text model format (canonical, byte-stable):
+    the head (magic line, ``[schema]`` and ``[config]``), then each
+    ``[tree i]`` section, each written to ``sink`` as soon as it is
+    formatted."""
+    config = (f"{f.name}={_CONFIG_SPELLINGS[f.type][0](getattr(model.config, f.name))}" for f in fields(ForestConfig))
+    sink.write("\n".join([f"{_MAGIC} {_VERSION}", "[schema]", *model.feature_names, "[config]", *config, ""]).encode())
+    for i, tree in enumerate(model.trees):
+        columns = (getattr(tree, name).tolist() for name in ("feature", "threshold", "left", "right", "value"))
+        nodes = (f"L {v!r}" if f < 0 else f"N {f} {thr!r} {left} {right}" for f, thr, left, right, v in zip(*columns))
+        sink.write("\n".join([f"[tree {i}]", *nodes, ""]).encode())
 
 
 def _parse_config_lines(pairs: dict[str, str]) -> ForestConfig:
@@ -624,7 +623,7 @@ def _parse_config_lines(pairs: dict[str, str]) -> ForestConfig:
     if missing:
         raise DataError(f"model file: missing config keys {sorted(missing)}")
     try:
-        return ForestConfig(**{f.name: _CONFIG_PARSERS[f.type](pairs[f.name]) for f in fields(ForestConfig)})
+        return ForestConfig(**{f.name: _CONFIG_SPELLINGS[f.type][1](pairs[f.name]) for f in fields(ForestConfig)})
     except (ValueError, KeyError) as exc:
         raise DataError(f"model file: bad config value: {exc}") from None
 

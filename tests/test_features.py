@@ -262,7 +262,7 @@ class TestFitSchema:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("impute", []), ("trigram_counts", "abc"), ("impute", {"prevalence": math.nan})],
+        [("impute", []), ("trigram_counts", "abc"), ("impute", {"prevalence": math.nan}), ("internal_frequency", None)],
     )
     def test_bad_sidecar_field_is_data_error(self, field, value):
         doc = json.loads(sidecar_schema().to_json())

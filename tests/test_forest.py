@@ -555,6 +555,21 @@ class TestScreenedSearch:
         assert screen.exact.size == 5
         assert peak - held <= 1.25 * X.nbytes
 
+    def test_building_the_screen_holds_no_sorted_copy_beside_the_indicator_matrix(self):
+        """The sorted transposed copy of X is freed before the indicator
+        matrix, which is about as large, is allocated."""
+        rng = np.random.default_rng(24)
+        X = np.column_stack([rng.random((4000, 295)) < 0.05, rng.normal(size=(4000, 5))]).astype(float)
+        y = rng.random(4000)
+        tracemalloc.start()
+        try:
+            screen = forest_module._Screen(X, y, 1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert screen.exact.size == 5
+        assert peak - held <= 0.5 * X.nbytes
+
     @pytest.mark.parametrize(
         "config,sha",
         [
@@ -823,6 +838,25 @@ class TestPersistence:
         save_model(model, a)
         save_model(model, b)
         assert a.getvalue() == b.getvalue()
+
+    def test_save_holds_at_most_one_tree_section_at_a_time(self):
+        rng = np.random.default_rng(0)
+        model = fit(rng.normal(size=(600, 8)), rng.random(600), ForestConfig(n_trees=24, seed=1))
+
+        class CountingSink:
+            written = 0
+
+            def write(self, data: bytes) -> None:
+                self.written += len(data)
+
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            save_model(model, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.written
 
     def test_config_round_trips(self):
         cfg = ForestConfig(
