@@ -43,8 +43,10 @@ def pearson(x, y) -> float | None:
     a, b = _as_pair(x, y)
     if a.size < 2:
         raise ValueError("pearson requires at least 2 points")
-    a = a - a.mean()
-    b = b - b.mean()
+    # Each side is scaled so its largest magnitude lies in [0.5, 1): no sum
+    # overflows, and no sum of squares or product of two falls to 0 unless a
+    # side is constant. A power of two rounds nothing, so r keeps its bits.
+    a, b = (v - v.mean() for v in (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (a, b)))
     ssa = float(np.sum(a * a))
     ssb = float(np.sum(b * b))
     if ssa == 0.0 or ssb == 0.0:

@@ -199,7 +199,7 @@ class FeatureSchema:
             text = decode_utf8(text, "schema file:")
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting exhausts the recursion limit
             raise DataError(f"schema file: invalid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("version") != 1:
             raise DataError("schema file: missing or unsupported version")
@@ -209,7 +209,8 @@ class FeatureSchema:
                 for f in fields(cls)
                 if f.init and f.name != "config"
             }
-            cfg = FeatureConfig(**{f.name: doc["config"][f.name] for f in fields(FeatureConfig)})
+            config = {f.name: doc["config"][f.name] for f in fields(FeatureConfig)}
+            cfg = FeatureConfig(**config | {"enabled": _strings(config["enabled"])})
             for f in fields(cfg):  # JSON true, 2.5 and NaN load as bool and float
                 if f.type == "int" and type(getattr(cfg, f.name)) is not int:
                     raise TypeError(f"config {f.name} must be an integer, got {getattr(cfg, f.name)!r}")

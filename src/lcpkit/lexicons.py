@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 from types import MappingProxyType
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
@@ -78,8 +78,8 @@ def load_lexicon(spec: LexiconSpec, source: IO[bytes] | bytes) -> Lexicon:
     rows, empty terms and duplicates whose sum overflows raise DataError
     naming the first bad line.
 
-    The file is read a column at a time; only a file that fails a check is
-    walked line by line, to find its first bad line.
+    The file is read a column at a time, every line cut to one width; only a
+    file that fails a check is walked line by line to find its first bad line.
     """
     lines = decode_utf8(source, f"lexicon {spec.name!r}:").splitlines()[spec.skip_rows :]
     columns = _columns(spec, lines)
@@ -95,22 +95,19 @@ def load_lexicon(spec: LexiconSpec, source: IO[bytes] | bytes) -> Lexicon:
 
 def _columns(spec: LexiconSpec, lines: list[str]) -> tuple[list[str], list[float]] | None:
     """The term and the value of each line, or None when a line has a problem
-    that ``_line_problem`` names."""
+    that ``_line_problem`` names. A column is every ``width``-th cell: unless
+    all lines have one width that holds both columns, each line is cut, or
+    padded with empty cells that the checks refuse, to the ``need`` cells."""
     tabs = list(map(str.count, lines, repeat("\t")))
     if not tabs:
         return [], []
-    fewest = min(tabs)
-    if fewest < max(spec.term_column, spec.value_column):
-        return None
-    cells = "\t".join(lines).split("\t")
-    if fewest == max(tabs):
-        # as many cells on every line: a column is every ``width``-th cell
-        width = fewest + 1
-        term_cells, value_cells = cells[spec.term_column :: width], cells[spec.value_column :: width]
+    width, need = max(tabs) + 1, max(spec.term_column, spec.value_column) + 1
+    if min(tabs) + 1 == width >= need:
+        cells = "\t".join(lines).split("\t")
     else:
-        starts = list(accumulate((n + 1 for n in tabs), initial=0))[:-1]
-        term_cells = [cells[start + spec.term_column] for start in starts]
-        value_cells = [cells[start + spec.value_column] for start in starts]
+        width, pad = need, "\t" * need
+        cells = [cell for line in lines for cell in (line + pad).split("\t", need)[:need]]
+    term_cells, value_cells = cells[spec.term_column :: width], cells[spec.value_column :: width]
     terms = list(map(str.strip, term_cells))
     if not all(terms):
         return None
@@ -154,21 +151,19 @@ def _entries(spec: LexiconSpec, terms: list[str], values: list[float]) -> dict[s
     entries = dict(zip(terms, values))
     if len(entries) == len(terms):
         return entries
-    repeated = {term for term, n in Counter(terms).items() if n > 1}
-    rows = [row for row, term in enumerate(terms) if term in repeated]
+    counts = Counter(terms)
+    rows = [row for row, term in enumerate(terms) if counts[term] > 1]
     if spec.kind == BINARY:
         entries.update((terms[row], 1.0) for row in rows if values[row])
         return entries
     sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
     for row in rows:
         term = terms[row]
         sums[term] = sums.get(term, 0.0) + values[row]
-        counts[term] = counts.get(term, 0) + 1
         if not math.isfinite(sums[term]):
             line_no = spec.skip_rows + row + 1
             raise DataError(f"lexicon {spec.name!r} line {line_no}: the values of {term!r} overflow")
-    entries.update((term, sums[term] / counts[term]) for term in sums)
+    entries.update((term, total / counts[term]) for term, total in sums.items())
     return entries
 
 

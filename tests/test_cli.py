@@ -560,6 +560,17 @@ class TestEvaluate:
         assert report.read_text().startswith("| Label | R |")
         assert (workspace["tmp"] / "report.md.manifest.json").exists()
 
+    def test_tiny_scores_correlate(self, tmp_path, capsys):
+        """Sums of squares near 1e-170, whose product underflows to 0."""
+        values = ["0", "1e-85", "0"]
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("id\tcorpus\tsentence\ttoken\tcomplexity\n"
+                        + "".join(f"t{k}\tbible\tthe w{k} was seen\tw{k}\t{v}\n" for k, v in enumerate(values)))
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("id\tprediction\n" + "".join(f"t{k}\t{v}\n" for k, v in enumerate(values)))
+        assert run("evaluate", "--pred", pred, "--gold", gold) == 0
+        assert "r=1.000 rho=1.000" in capsys.readouterr().out
+
     def test_manifest_records_no_run_settings(self, workspace):
         pred = workspace["tmp"] / "pred.tsv"
         gold_lines = workspace["train"].read_text().splitlines()[1:]
@@ -845,6 +856,16 @@ class TestSchemaSidecarFuzz:
                                "--output", fuzz_workspace["tmp"] / "fuzzed.tsv")
         assert code in (0, 1, 2, 3)
         assert code == 0 or err.startswith("error: ")
+
+    def test_deeply_nested_sidecar_is_invalid_json(self, fuzz_workspace):
+        sidecar = fuzz_workspace["tmp"] / "deep.schema.json"
+        sidecar.write_bytes(b"[" * 200_000)
+        out = fuzz_workspace["tmp"] / "deep.tsv"
+        code, err = quiet_main("predict", "--config", fuzz_workspace["config"], "--model", fuzz_workspace["model"],
+                               "--schema", sidecar, "--input", fuzz_workspace["test"], "--output", out)
+        assert code == 2
+        assert err.startswith("error: schema file: invalid JSON: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 COMMANDS = ["train", "predict", "evaluate", "ablate", "coverage"]

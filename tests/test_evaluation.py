@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ class TestPearson:
         x = rng.random(20)
         y = rng.random(20)
         assert pearson(-x, y) == pytest.approx(-pearson(x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-85, 1e-120, 1e100, 1e150, 1e160, 1e300])
+    def test_tiny_or_huge_values_keep_their_correlation(self, scale):
+        """The unscaled sums of squares, or their product, would underflow to
+        0 or overflow to inf; r is still scipy's."""
+        x = np.array([0.1, 0.4, 0.35, 0.8, 0.05]) * scale
+        y = np.array([0.2, 0.5, 0.3, 0.9, 0.0]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = pearson(x, y)
+        assert r == pytest.approx(stats.pearsonr(x, y)[0], abs=1e-12)
 
 
 class TestSpearman:

@@ -288,6 +288,17 @@ class TestFitSchema:
         with pytest.raises(DataError, match=f"schema file: bad content: config {key} must be an integer"):
             FeatureSchema.from_json(json.dumps(doc).encode("utf-8"))
 
+    @pytest.mark.parametrize("enabled", [{"length": 0, "syllables": "x"}, "length", ["length", 5]])
+    def test_enabled_families_not_a_list_of_strings_is_data_error(self, enabled):
+        doc = json.loads(sidecar_schema().to_json())
+        doc["config"]["enabled"] = enabled
+        with pytest.raises(DataError, match="schema file: bad content: "):
+            FeatureSchema.from_json(json.dumps(doc).encode("utf-8"))
+
+    def test_deeply_nested_sidecar_is_invalid_json(self):
+        with pytest.raises(DataError, match="schema file: invalid JSON: "):
+            FeatureSchema.from_json(b"[" * 200_000)
+
     @pytest.mark.parametrize("encoding", ["utf-16", "latin-1"])
     def test_non_utf8_sidecar_is_data_error(self, encoding):
         text = sidecar_schema().to_json().replace("cat", "caté")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -88,6 +89,19 @@ class TestLoad:
     def test_spec_rejects_equal_columns(self):
         with pytest.raises(ValueError):
             LexiconSpec(name="x", path="x.tsv", term_column=1, value_column=1)
+
+    def test_one_wide_row_costs_memory_in_proportion_to_the_file(self):
+        """Rows are cut to the cells the term and value columns need, not
+        padded to the widest row's width."""
+        data = b"".join(b"w%d\t%d\n" % (i, i % 7) for i in range(5000)) + b"wide\t1" + b"\tx" * 1000
+        tracemalloc.start()
+        try:
+            entries = load_lexicon(cont_spec(), data).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 5001
+        assert peak <= 100 * len(data)
 
 
 class TestMergeAverage:
@@ -260,6 +274,11 @@ REFERENCE_TOKENS = LEXICON_TOKENS + [
 ]
 
 
+#: Rows of two, three and four cells, with one term on three rows and one
+#: on two.
+RAGGED_REPEATS = b"dog\t1\tx\ncat\t0\ndog\t0\ta\tb\ncat\t1\nowl\t0\ndog\t1\n"
+
+
 class TestLoadMatchesReference:
     """The column-wise load_lexicon agrees with the row-wise reference in
     conftest on every input: same entries bit for bit, or the same error."""
@@ -291,9 +310,17 @@ class TestLoadMatchesReference:
         with pytest.raises(DataError, match="line 2: non-finite value 'INFINITY'"):
             load_lexicon(cont_spec(), "\u212a\t1\n\u212a\tINFINITY\n".encode())
 
-    def test_ragged_rows_with_extra_columns(self):
-        data = b"dog\t2.5\tx\ncat\t1\nowl\t3\ta\tb\tc\ndog\t0.5\n"
-        assert assert_loads_as_reference(cont_spec(), data) == {"dog": 1.5, "cat": 1.0, "owl": 3.0}
+    @pytest.mark.parametrize(
+        "spec, data, expected",
+        [
+            (cont_spec(), b"dog\t2.5\tx\ncat\t1\nowl\t3\ta\tb\tc\ndog\t0.5\n", {"dog": 1.5, "cat": 1.0, "owl": 3.0}),
+            (cont_spec(), RAGGED_REPEATS, {"dog": 2 / 3, "cat": 0.5, "owl": 0.0}),
+            (bin_spec(), RAGGED_REPEATS, {"dog": 1.0, "cat": 1.0, "owl": 0.0}),
+        ],
+        ids=["continuous", "repeats", "repeats-binary"],
+    )
+    def test_ragged_rows_with_extra_columns(self, spec, data, expected):
+        assert assert_loads_as_reference(spec, data) == expected
 
     def test_ragged_rows_custom_columns(self):
         data = b"2.5\tx\tdog\n1\ty\tcat\tz\n"
