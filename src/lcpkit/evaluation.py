@@ -43,14 +43,16 @@ def pearson(x, y) -> float | None:
     a, b = _as_pair(x, y)
     if a.size < 2:
         raise ValueError("pearson requires at least 2 points")
+    # a constant side is told from its values: a mean that rounds away from
+    # them would leave equal nonzero deviations
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        return None
     # Each side is scaled so its largest magnitude lies in [0.5, 1): no sum
-    # overflows, and no sum of squares or product of two falls to 0 unless a
-    # side is constant. A power of two rounds nothing, so r keeps its bits.
+    # overflows, and no sum of squares or product of two falls to 0. A power
+    # of two rounds nothing, so r keeps its bits.
     a, b = (v - v.mean() for v in (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (a, b)))
     ssa = float(np.sum(a * a))
     ssb = float(np.sum(b * b))
-    if ssa == 0.0 or ssb == 0.0:
-        return None
     r = float(np.sum(a * b)) / float(np.sqrt(ssa * ssb))
     return min(1.0, max(-1.0, r))
 

@@ -17,7 +17,11 @@ Determinism: tree t draws from its own generator seeded with
 are built one after another or in parallel worker processes. Within a tree
 the generator is consumed in node pre-order (bootstrap indices first, then
 one feature draw per split attempt when fewer than all features are
-sampled).
+sampled). A tree that samples features grows one node at a time in
+pre-order. A tree that searches every feature draws nothing after its
+bootstrap, so it grows a depth at a time, all of a depth's nodes searched
+together (``_Screen.split_depth``), and is renumbered into pre-order at the
+end.
 """
 
 from __future__ import annotations
@@ -204,12 +208,119 @@ _SCREEN_MAX_BOUNDARIES = 16
 #: Cap on the boundary indicator matrix; past it, the features with the
 #: fewest boundaries are screened and the rest go to the exact search.
 _SCREEN_MAX_BYTES = 1 << 28
+#: Children of at most this many rows get their screen sums from one
+#: gather over all of a depth's nodes; a larger child gets its own pass, so
+#: the gather stays small. Four trees of the benchmark's seed-1 training
+#: matrix (6,130 x 714) took a median 0.76, 0.67, 0.70, 0.72 and 0.94 s at
+#: 16, 32, 64, 128 and 256 rows (5 rounds, 1 worker, 2-core VM).
+_GATHER_ROWS = 64
 _U = 2.0**-53  # unit roundoff of float64
 
 
-def _gamma(k: int) -> float:
+def _gamma(k):
     """Bound on the relative error of a float sum of k terms, in any order."""
     return k * _U / (1.0 - k * _U)
+
+
+def _ranges(first: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """``first[i], ..., first[i] + size[i] - 1`` for each i in turn, as one array."""
+    ends = np.cumsum(size)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first - ends + size, size)
+
+
+def _totals(ys: np.ndarray, start: np.ndarray, which: np.ndarray):
+    """``np.sum(v)`` and ``np.sum(v * v)``, bit for bit, for the targets
+    ``v = ys[start[i]:start[i + 1]]`` of each node i in ``which``; 0.0 for
+    the others.
+
+    numpy sums a row of a 2-D array as it sums the same values alone, so the
+    nodes of one length are summed as the rows of one array. Padding shorter
+    nodes with zeros would change the bits: numpy's pairwise sum keeps 8
+    partial sums.
+    """
+    m = np.diff(start)
+    nodes = np.flatnonzero(which)
+    nodes = nodes[np.argsort(m[nodes], kind="stable")]
+    flat = ys[_ranges(start[nodes], m[nodes])]
+    t1, t2 = np.zeros(m.size), np.zeros(m.size)
+    at = 0
+    lengths, first, counts = np.unique(m[nodes], return_index=True, return_counts=True)
+    for length, i, count in zip(lengths.tolist(), first.tolist(), counts.tolist()):
+        block = flat[at : at + length * count].reshape(count, length)
+        at += length * count
+        t1[nodes[i : i + count]] = block.sum(axis=1)
+        t2[nodes[i : i + count]] = (block * block).sum(axis=1)
+    return t1, t2
+
+
+def _verify(rank, yrows, rows, first, m, t1, t2, feat, width: int, min_samples_leaf: int):
+    """``_best_split``'s search of one feature at one node, bit for bit, for
+    many (node, feature) pairs at once.
+
+    Pair i searches feature ``feat[i]`` over the rows
+    ``rows[first[i]:first[i] + m[i]]``, whose targets ``yrows`` holds at the
+    same positions and which sum to ``t1[i]``, their squares to ``t2[i]``
+    (``np.sum``'s bits); ``m[i] <= width``. Its rows fill one row of
+    ``width`` cells, each cell keyed by the rank of its value (``rank``, see
+    ``_Screen``) and then its position: sorting the keys orders the node's
+    rows as ``_best_split``'s stable sort does. Padding takes a rank above
+    every value's and the 0.0 at ``yrows[rows.size]``, so the sequential
+    cumsums along the row give ``_best_split``'s prefix sums. Returns each
+    pair's smallest SSE (+inf if it has no valid cut) and the rows either
+    side of that cut.
+    """
+    pair = np.arange(m.size)
+    shift = int(rows.size).bit_length()
+    cells = np.arange(width)
+    pos = first[:, None] + cells
+    pad = cells >= m[:, None]
+    pos[pad] = rows.size
+    key = rank[feat[:, None], rows.take(pos, mode="clip")].astype(np.int64)
+    key[pad] = rank.shape[1]
+    key <<= shift
+    key |= pos
+    key.sort(axis=1)
+    pos = key & ((1 << shift) - 1)
+    key >>= shift
+    ys = yrows[pos]
+    c1 = np.cumsum(ys, axis=1)[:, :-1]
+    c2 = np.cumsum(ys * ys, axis=1)[:, :-1]
+    nl = np.arange(1, width, dtype=np.float64)
+    size = m[:, None].astype(np.float64)
+    nr = np.maximum(size - nl, 1.0)  # the padding's right counts, kept off 0
+    t1, t2 = t1[:, None], t2[:, None]
+    sse = (c2 - c1 * c1 / nl) + ((t2 - c2) - (t1 - c1) * (t1 - c1) / nr)
+    cut = key[:, :-1] != key[:, 1:]
+    cut &= nl < size
+    if min_samples_leaf > 1:
+        cut &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    sse[~cut] = np.inf
+    at = np.argmin(sse, axis=1)
+    return sse[pair, at], rows[pos[pair, at]], rows[pos[pair, at + 1]]
+
+
+def _searched(m, depth: int, config: ForestConfig):
+    """Whether nodes of m rows at ``depth`` are searched for a split."""
+    return (m >= config.min_samples_split) & (config.max_depth is None or depth < config.max_depth)
+
+
+@dataclass
+class _Depth:
+    """The nodes of one depth of a tree, in one order.
+
+    Node i has id ``first_id + i``, the rows ``rows[start[i]:start[i + 1]]``
+    and the screen state (see ``_Screen``) ``act``, ``sums`` over the pairs
+    ``pairs[i]:pairs[i + 1]``, with error ``err[i]``.
+    """
+
+    first_id: int
+    depth: int
+    rows: np.ndarray
+    start: np.ndarray
+    act: np.ndarray
+    sums: np.ndarray
+    pairs: np.ndarray
+    err: np.ndarray
 
 
 class _Screen:
@@ -221,9 +332,11 @@ class _Screen:
     boundaries that cut it (a boundary that cuts no row off a node cuts none
     off its children either), their left counts (exact) and left target
     sums (each within ``err`` of its exact value), summed over the node's
-    rows by ``np.einsum``, which makes no BLAS call: a fit worker then runs
-    on its own thread only. A node that no boundary cuts and on which no
-    ``exact`` feature takes two values has no feature to split on.
+    rows by ``np.einsum`` and ``np.bincount``, which make no BLAS call: a
+    fit worker then runs on its own thread only. A node that no boundary
+    cuts and on which no ``exact`` feature takes two values has no feature
+    to split on. ``rank[f, i]`` is the rank of ``X[i, f]`` among feature
+    f's distinct values.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
@@ -242,21 +355,44 @@ class _Screen:
         self.feature = cols[self.feature]
         value = xs[self.feature, pos]
         del xs, new  # freed before ``ind``, which is about as large, is allocated
-        self.ind = X.take(self.feature, axis=1)
-        np.less_equal(self.ind, value, out=self.ind)
+        # each value's rank among its feature's distinct values, by feature
+        self.rank = np.zeros((X.shape[1], n), dtype=np.min_scalar_type(n))
+        for f in self.exact.tolist():
+            self.rank[f] = np.unique(X[:, f], return_inverse=True)[1]
+        # A screened value's rank is the number of its feature's boundaries
+        # below it, and the value is at most the j-th boundary exactly when
+        # its rank is at most j. Rows go a block at a time, which stays in
+        # cache.
+        first = np.searchsorted(self.feature, cols)
+        count = np.diff(np.append(first, self.feature.size))
+        more = [np.flatnonzero(count > k) for k in range(1, int(count.max(initial=0)))]
+        group = np.repeat(np.arange(cols.size), count)
+        j = (np.arange(self.feature.size) - first[group]).astype(np.uint8)
+        self.ind = np.empty((n, self.feature.size))
+        for rows in range(0, n, 256):
+            x = X[rows : rows + 256]
+            below = (x.take(cols, axis=1) > value[first]).astype(np.uint8)
+            for k, some in enumerate(more, 1):
+                below[:, some] += x.take(cols[some], axis=1) > value[first[some] + k]
+            self.rank[cols, rows : rows + 256] = below.T
+            np.less_equal(below.take(group, axis=1), j, out=self.ind[rows : rows + 256])
         self.ones_y = np.column_stack([np.ones(n), y])
 
     def _sums(self, idx: np.ndarray, act: np.ndarray) -> np.ndarray:
         """Left counts and target sums of boundaries ``act`` over rows ``idx``.
 
-        A large sample is summed over all rows, weighted by how often each
-        occurs, rather than gathered; either way each sum has at most
-        ``idx.size`` nonzero terms, each rounded at most once.
+        A large sample is summed over its distinct rows, each weighted by
+        how often it occurs, a block of rows at a time; either way each sum
+        has at most ``idx.size`` nonzero terms, each rounded at most once.
         """
-        n = self.ind.shape[0]
-        if idx.size * 8 > n:
-            return np.einsum("ij,ik->kj", self.ind, self.ones_y * np.bincount(idx, minlength=n)[:, None])[:, act]
-        return np.einsum("ij,ik->kj", self.ind.take(idx, axis=0).take(act, axis=1), self.ones_y[idx])
+        if idx.size * 8 <= self.ind.shape[0]:
+            return np.einsum("ij,ik->kj", self.ind.take(idx, axis=0).take(act, axis=1), self.ones_y[idx])
+        rows, count = np.unique(idx, return_counts=True)
+        sums = np.zeros((2, self.ind.shape[1]))
+        for at in range(0, rows.size, 256):
+            block = rows[at : at + 256]
+            sums += np.einsum("ij,ik->kj", self.ind.take(block, axis=0), self.ones_y[block] * count[at : at + 256, None])
+        return sums[:, act]
 
     @staticmethod
     def _cutting(act, sums, m, err):
@@ -334,10 +470,154 @@ class _Screen:
             return None
         return _best_split(X, y, idx, verify, min_samples_leaf)
 
+    def split_depth(self, nodes: _Depth, config: ForestConfig):
+        """Split the nodes of one depth, searching every feature: their Tree
+        columns, ``(feature, threshold, left, right, value)`` with children
+        named by id, and the next depth, each split node's left then right
+        child.
 
-def _screen_bound(m: int, peak: float, total_abs: float, sum_sq: float, err: float) -> float:
+        Each searched node takes ``_best_split(X, y, rows, all features,
+        min_samples_leaf)``, computed as ``split`` computes it but for all
+        the nodes at once (``_verify``): what the search finds for a feature
+        depends only on that feature's column, so the result is the full
+        search's whenever the shortlist holds the full search's winner. The
+        shortlist is every exact feature that takes two values on the node,
+        and every screened feature with a boundary whose screened score
+        comes within ``4 * E`` of the best (see ``_screen_bound``). Where the
+        bound is not trusted, ``_best_split`` runs on every feature.
+        """
+        X, y, msl = self.X, self.y, self.min_samples_leaf
+        d, count = X.shape[1], nodes.start.size - 1
+        m, first = np.diff(nodes.start), nodes.start[:-1]
+        ys = y[nodes.rows]
+        ymin, ymax = np.minimum.reduceat(ys, first), np.maximum.reduceat(ys, first)
+        varied = ymin != ymax
+        t1, t2 = _totals(ys, nodes.start, varied)
+        # constant targets keep their exact value; otherwise the mean
+        value = np.where(varied, t1 / m, ymin)
+        live = varied & _searched(m, nodes.depth, config)
+        exact = self.exact
+        xe = self.rank[np.ix_(exact, nodes.rows)].T
+        varies = np.minimum.reduceat(xe, first) != np.maximum.reduceat(xe, first)
+        n_pairs = np.diff(nodes.pairs)
+        live &= (n_pairs > 0) | varies.any(axis=1)
+
+        feature, threshold = np.full(count, -1), np.zeros(count)
+        peak = np.maximum(-ymin, ymax)
+        trusted = (m <= 1 << 30) & (peak >= 2.0**-400) & (peak <= 2.0**400)
+        for i in np.flatnonzero(live & ~trusted).tolist():
+            found = _best_split(X, y, nodes.rows[nodes.start[i] : nodes.start[i + 1]], np.arange(d), msl)
+            if found is not None:
+                feature[i], threshold[i] = found
+        live &= trusted
+
+        # the screen: every (node, boundary) pair's score, the node's sum of
+        # squares minus the SSE of the cut
+        pair_node = np.repeat(np.arange(count), n_pairs)
+        left_count, left = nodes.sums
+        right = t1[pair_node] - left
+        n_right = m[pair_node] - left_count
+        score = left * left / left_count + right * right / n_right
+        if msl > 1:
+            score[(left_count < msl) | (n_right < msl)] = -np.inf
+        pair_feature = self.feature[nodes.act]
+        score[~live[pair_node]] = -np.inf
+        top = np.maximum.reduceat(np.append(score, -np.inf), nodes.pairs[:-1])
+        top[n_pairs == 0] = -np.inf
+        total_abs = np.add.reduceat(np.abs(ys), first)
+        floor = np.full(count, np.inf)
+        ok = top > -np.inf
+        floor[ok] = top[ok] - 4.0 * _screen_bound(m[ok], peak[ok], total_abs[ok], t2[ok], nodes.err[ok])
+        keep = score >= floor[pair_node]
+        node_e, column_e = np.nonzero(varies & live[:, None])
+        keys = np.unique(np.concatenate([pair_node[keep] * d + pair_feature[keep], node_e * d + exact[column_e]]))
+        key_node, key_feature = np.divmod(keys, d)
+
+        # verify: the pairs of nodes of up to each power-of-two size at once
+        best, low, high = np.empty(keys.size), np.empty(keys.size, np.intp), np.empty(keys.size, np.intp)
+        width = np.left_shift(1, np.frexp(m[key_node] - 1)[1])
+        yrows = np.append(ys, 0.0)
+        for w in np.unique(width).tolist():
+            sel = np.flatnonzero(width == w)
+            v = key_node[sel]
+            best[sel], low[sel], high[sel] = _verify(
+                self.rank, yrows, nodes.rows, first[v], m[v], t1[v], t2[v], key_feature[sel], w, msl
+            )
+        # each node's first key with its smallest SSE: the lowest feature
+        order = np.lexsort((best, key_node))
+        _, at = np.unique(key_node[order], return_index=True)
+        j = order[at]
+        j = j[best[j] < np.inf]
+        a, b = X[low[j], key_feature[j]], X[high[j], key_feature[j]]
+        thr = (a + b) / 2.0
+        # a midpoint rounded onto the right value keeps the cut below b
+        feature[key_node[j]], threshold[key_node[j]] = key_feature[j], np.where(thr >= b, a, thr)
+
+        split = feature >= 0
+        left_id = np.where(split, nodes.first_id + count + 2 * (np.cumsum(split) - 1), -1)
+        columns = (feature, threshold, left_id, np.where(split, left_id + 1, -1), np.where(split, 0.0, value))
+        return columns, self._depth_children(nodes, config, split, feature, threshold, total_abs)
+
+    def _depth_children(self, nodes, config, split, feature, threshold, total_abs) -> _Depth:
+        """The next depth: the children of the nodes ``split`` marks, each
+        one's left then right. Each node's rows keep their order in its
+        children. A pair of children gets screen states when either is
+        searched: the smaller child's sums come from its rows, the larger's
+        are the parent's minus the smaller's, and so carry the errors of
+        both."""
+        X, y = self.X, self.y
+        m, first = np.diff(nodes.start), nodes.start[:-1]
+        node = np.repeat(np.arange(m.size), m)
+        on = split[node]
+        rows, node = nodes.rows[on], node[on]
+        child = 2 * (np.cumsum(split) - 1)[node] + (X[rows, feature[node]] > threshold[node])
+        rows = rows[np.argsort(child, kind="stable")]
+        n_children = 2 * np.count_nonzero(split)
+        size = np.bincount(child, minlength=n_children)
+        start = np.concatenate([[0], np.cumsum(size)])
+
+        depth = nodes.depth + 1
+        pair = np.flatnonzero(_searched(size[0::2], depth, config) | _searched(size[1::2], depth, config))
+        parent = np.flatnonzero(split)[pair]
+        right_small = (size[1::2] < size[0::2])[pair]
+        small, large = 2 * pair + right_small, 2 * pair + 1 - right_small
+        n_pairs = np.diff(nodes.pairs)[parent]
+        span = np.concatenate([[0], np.cumsum(n_pairs)])
+        at = _ranges(nodes.pairs[parent], n_pairs)
+        act = nodes.act[at]
+        # small children of up to _GATHER_ROWS rows, all in one gather, row by row
+        gathered = np.flatnonzero(size[small] <= _GATHER_ROWS)
+        row_owner = np.repeat(gathered, size[small[gathered]])
+        row = rows[_ranges(start[small[gathered]], size[small[gathered]])]
+        pair_of = _ranges(span[row_owner], n_pairs[row_owner])
+        row = np.repeat(row, n_pairs[row_owner])
+        hit = self.ind[row, act[pair_of]]
+        small_sums = np.array([np.bincount(pair_of, hit, at.size), np.bincount(pair_of, hit * y[row], at.size)], float)
+        for i in np.flatnonzero(size[small] > _GATHER_ROWS).tolist():
+            c = small[i]
+            small_sums[:, span[i] : span[i + 1]] = self._sums(rows[start[c] : start[c + 1]], act[span[i] : span[i + 1]])
+        small_err = _gamma(size[small] + 1) * total_abs[parent]
+        err = np.zeros(n_children)
+        err[small] = small_err
+        err[large] = (nodes.err[parent] + small_err) * (1.0 + _U) + _U * total_abs[parent]
+
+        # each child keeps the boundaries that still cut it
+        owner = np.repeat(np.arange(parent.size), n_pairs)
+        owner_child = np.concatenate([small[owner], large[owner]])
+        sums = np.concatenate([small_sums, nodes.sums[:, at] - small_sums], axis=1)
+        cut = (sums[0] > 0) & (sums[0] < size[owner_child])
+        owner_child = owner_child[cut]
+        order = np.argsort(owner_child, kind="stable")
+        return _Depth(
+            nodes.first_id + m.size, depth, rows, start, np.concatenate([act, act])[cut][order], sums[:, cut][:, order],
+            np.concatenate([[0], np.cumsum(np.bincount(owner_child, minlength=n_children))]), err,
+        )
+
+
+def _screen_bound(m, peak, total_abs, sum_sq, err):
     """E: a bound on how far the screen's and the verify step's SSE for one
-    partition of a node can both stray from its exact value, together.
+    partition of a node can both stray from its exact value, together; of
+    one node, or elementwise of arrays of nodes.
 
     Over the node's m targets, M = max |y|, A = sum |y|, Q = sum y*y and
     P = M * A; u is the unit roundoff and g = _gamma(m). Any float sum of
@@ -378,16 +658,15 @@ def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator, screen: _Sc
     else:
         root_idx = np.arange(n)
     k = min(config.max_features_per_split, d)
-    all_feats = np.arange(d)
+    if k >= d:
+        return _grow_by_depth(root_idx, config, screen)
 
-    def searched(m: int, depth: int) -> bool:
-        return m >= config.min_samples_split and (config.max_depth is None or depth < config.max_depth)
-
-    # One row per node, in Tree's column order: feature, threshold, left,
-    # right, value. Explicit stack; children pushed right-then-left so nodes
-    # are created in pre-order, which also fixes the rng consumption order.
-    # An entry names the parent row and the column that links it to the
-    # node, and carries the node's screen state.
+    # At k < d each searched node draws its features, in pre-order, so the
+    # nodes grow one at a time. One row per node, in Tree's column order:
+    # feature, threshold, left, right, value. Explicit stack; children pushed
+    # right-then-left so nodes are created in pre-order, which also fixes the
+    # rng consumption order. An entry names the parent row and the column
+    # that links it to the node, and carries the node's screen state.
     rows: list[list] = []
     stack = [(root_idx, 0, None, 0, screen.root(root_idx))]
     while stack:
@@ -402,8 +681,8 @@ def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator, screen: _Sc
         ymin = float(ysub.min())
         ymax = float(ysub.max())
         split = None
-        if searched(m, depth) and ymin != ymax:
-            feats = all_feats if k >= d else np.sort(rng.choice(d, size=k, replace=False))
+        if _searched(m, depth, config) and ymin != ymax:
+            feats = np.sort(rng.choice(d, size=k, replace=False))
             total = float(ysub.sum())
             total_abs = total if ymin >= 0.0 else float(np.abs(ysub).sum())
             split = screen.split(sample_idx, ysub, feats, node, (total, max(-ymin, ymax), total_abs))
@@ -415,11 +694,36 @@ def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator, screen: _Sc
         mask = X[sample_idx, row[0]] <= row[1]
         left_idx, right_idx = sample_idx[mask], sample_idx[~mask]
         left_node = right_node = None
-        if searched(left_idx.size, depth + 1) or searched(right_idx.size, depth + 1):
+        if _searched(left_idx.size, depth + 1, config) or _searched(right_idx.size, depth + 1, config):
             left_node, right_node = screen.children(node, left_idx, right_idx, total_abs)
         stack.append((right_idx, depth + 1, row, 3, right_node))
         stack.append((left_idx, depth + 1, row, 2, left_node))
     return Tree(*zip(*rows))
+
+
+def _grow_by_depth(root_idx: np.ndarray, config: ForestConfig, screen: _Screen) -> Tree:
+    """The tree over rows ``root_idx`` when every feature is searched at
+    every node. The tree then draws nothing after its bootstrap, so the
+    order its nodes grow in cannot change a byte: each depth is split in
+    one step, and the nodes are renumbered into pre-order at the end, from
+    the links between parents and children."""
+    act, sums, err = screen.root(root_idx)
+    nodes = _Depth(0, 0, root_idx, np.array([0, root_idx.size]), act, sums, np.array([0, act.size]), np.array([err]))
+    columns = []
+    while nodes.start.size > 1:
+        found, nodes = screen.split_depth(nodes, config)
+        columns.append(found)
+    feature, threshold, left, right, value = (np.concatenate(column) for column in zip(*columns))
+    pre, stack = [], [0]
+    lefts, rights = left.tolist(), right.tolist()
+    while stack:
+        i = stack.pop()
+        pre.append(i)
+        if lefts[i] >= 0:
+            stack += (rights[i], lefts[i])
+    number = np.empty(len(pre), dtype=np.intp)
+    number[pre] = np.arange(len(pre))
+    return Tree(feature[pre], threshold[pre], number[left[pre]], number[right[pre]], value[pre])
 
 
 def _build(t: int, task: tuple) -> Tree:

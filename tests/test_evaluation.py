@@ -74,6 +74,15 @@ class TestPearson:
         assert pearson([1, 1, 1], [1, 2, 3]) is None
         assert pearson([1, 2, 3], [5, 5, 5]) is None
 
+    @pytest.mark.parametrize(
+        "x,y", [([0.1] * 3, [0, 1, 2]), ([0.7] * 7, range(7)), ([1 / 3] * 10, range(10)), ([0.1] * 4, range(4))]
+    )
+    def test_constant_side_whose_mean_rounds_away_is_undefined(self, x, y):
+        # the mean of the constant side is not its value, so its deviations
+        # are equal and nonzero
+        assert pearson(x, y) is None
+        assert pearson(y, x) is None
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])

@@ -347,25 +347,66 @@ class TestSplitOptimality:
         assert doubled.threshold[0] == base.threshold[0]
 
 
-def full_search(screen, idx, ysub, feats, *node):
-    """The plain exhaustive search over every sampled feature, in place of
-    ``_Screen.split``."""
-    return forest_module._best_split(screen.X, screen.y, idx, feats, screen.min_samples_leaf)
+def reference_tree(X, y, config: ForestConfig, t: int) -> Tree:
+    """Tree t as the plain exhaustive search grows it: nodes one at a time in
+    pre-order, each searched by ``_best_split`` over every sampled feature,
+    from the same draws ``fit`` makes."""
+    n, d = X.shape
+    rng = np.random.default_rng(derive_seed(config.seed, t))
+    stack = [(rng.integers(0, n, size=n) if config.bootstrap else np.arange(n), 0, None, 0)]
+    k = min(config.max_features_per_split, d)
+    rows = []
+    while stack:
+        idx, depth, parent, column = stack.pop()
+        if parent is not None:
+            parent[column] = len(rows)
+        row = [-1, 0.0, -1, -1, 0.0]
+        rows.append(row)
+        ysub = y[idx]
+        ymin, ymax = float(ysub.min()), float(ysub.max())
+        split = None
+        searched = idx.size >= config.min_samples_split and (config.max_depth is None or depth < config.max_depth)
+        if searched and ymin != ymax:
+            feats = np.arange(d) if k >= d else np.sort(rng.choice(d, size=k, replace=False))
+            split = forest_module._best_split(X, y, idx, feats, config.min_samples_leaf)
+        if split is None:
+            row[4] = ymin if ymin == ymax else float(ysub.mean())
+            continue
+        row[0], row[1] = split
+        mask = X[idx, row[0]] <= row[1]
+        stack.append((idx[~mask], depth + 1, row, 3))
+        stack.append((idx[mask], depth + 1, row, 2))
+    return Tree(*zip(*rows))
+
+
+def assert_fits_the_reference(X, y, config: ForestConfig) -> None:
+    """``fit`` grows the reference trees, byte for byte."""
+    model = fit(X, y, config)
+    reference = RandomForest.from_trees(
+        [reference_tree(X, y, config, t) for t in range(config.n_trees)], config, model.feature_names
+    )
+    assert np.array_equal(model.roots, reference.roots)
+    for name in Tree.__slots__:
+        assert getattr(model.nodes, name).tobytes() == getattr(reference.nodes, name).tobytes(), name
 
 
 @st.composite
 def split_problems(draw):
     """Rows of a few "tokens" that share their binary and few-valued columns,
     like n-gram indicators, so that columns often cut a node alike; plus
-    many-valued, duplicated and constant columns. Targets follow the token
+    columns of adjacent floats, many-valued, duplicated and constant columns. Targets follow the token
     on a 1/40 grid (near-ties), around 1e6 (large offset), with both signs
     over several magnitudes, or scaled by 2**-420 or 2**420, where the screen
-    hands every node to the full search."""
-    n = draw(st.integers(2, 70))
+    hands every node to the full search. Up to 300 rows, so that a depth
+    holds nodes on both sides of ``_GATHER_ROWS``; half the configs search
+    every feature at every node, the rest sample some."""
+    n = draw(st.integers(2, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_tokens = draw(st.integers(2, 8))
     token = rng.integers(0, n_tokens, size=n)
-    kinds = draw(st.lists(st.sampled_from(["binary", "few", "many", "duplicate", "constant"]), min_size=1, max_size=12))
+    kinds = draw(
+        st.lists(st.sampled_from(["binary", "few", "adjacent", "many", "duplicate", "constant"]), min_size=1, max_size=12)
+    )
     columns = []
     for kind in kinds:
         if kind == "binary":
@@ -373,6 +414,9 @@ def split_problems(draw):
             column = np.where(rng.random(n_tokens)[token] < 0.4, high, low)
         elif kind == "few":
             column = rng.integers(0, rng.integers(3, 9), size=n_tokens)[token] * 0.5
+        elif kind == "adjacent":
+            # 1 and the next floats up: some midpoints round onto the upper value
+            column = 1.0 + rng.integers(0, 4, size=n_tokens)[token] * 2.0**-52
         elif kind == "many":
             column = np.round(rng.normal(size=n), 2)
         elif kind == "duplicate" and columns:
@@ -392,7 +436,7 @@ def split_problems(draw):
         y = grid * 2.0 ** (-420 if target == "tiny" else 420)
     config = ForestConfig(
         n_trees=draw(st.integers(1, 2)),
-        max_features_per_split=draw(st.integers(1, len(columns) + 1)),
+        max_features_per_split=draw(st.one_of(st.integers(1, len(columns)), st.just(750))),
         min_samples_leaf=draw(st.integers(1, 4)),
         bootstrap=draw(st.booleans()),
         seed=draw(st.integers(0, 1000)),
@@ -413,6 +457,17 @@ def golden_data():
     return X, np.round(np.clip(raw, 0, 1) * 40) / 40
 
 
+def thousands_of_rows():
+    """3,000 rows: 40 sparse binary columns, five 6-valued and three
+    many-valued ones."""
+    rng = np.random.default_rng(5)
+    n = 3000
+    X = np.column_stack(
+        [rng.random((n, 40)) < 0.1, rng.integers(0, 6, size=(n, 5)), np.round(rng.normal(size=(n, 3)), 3)]
+    ).astype(float)
+    return X, np.clip(0.2 * X[:, 0] + 0.1 * X[:, 41] / 5 + rng.normal(0, 0.2, n), 0, 1)
+
+
 class TestScreenedSearch:
     """The screened search grows the trees the exhaustive search grows, bit for bit."""
 
@@ -423,27 +478,13 @@ class TestScreenedSearch:
         # a cap on the indicator matrix leaves the features past it to the exact search
         cap = forest_module._SCREEN_MAX_BYTES if screened_boundaries is None else 8 * len(y) * screened_boundaries
         with mock.patch.object(forest_module, "_SCREEN_MAX_BYTES", cap):
-            screened = fit(X, y, config)
-        with mock.patch.object(forest_module._Screen, "split", full_search):
-            full = fit(X, y, config)
-        assert np.array_equal(screened.roots, full.roots)
-        for name in Tree.__slots__:
-            assert getattr(screened.nodes, name).tobytes() == getattr(full.nodes, name).tobytes(), name
+            assert_fits_the_reference(X, y, config)
 
     def test_same_trees_on_thousands_of_rows(self):
-        # large nodes, whose sums come from weighted passes over every row
-        # and from parent-minus-sibling subtraction many levels deep
-        rng = np.random.default_rng(5)
-        n = 3000
-        X = np.column_stack(
-            [rng.random((n, 40)) < 0.1, rng.integers(0, 6, size=(n, 5)), np.round(rng.normal(size=(n, 3)), 3)]
-        ).astype(float)
-        y = np.clip(0.2 * X[:, 0] + 0.1 * X[:, 41] / 5 + rng.normal(0, 0.2, n), 0, 1)
-        config = ForestConfig(n_trees=2, seed=3)
-        screened = fit(X, y, config)
-        with mock.patch.object(forest_module._Screen, "split", full_search):
-            full = fit(X, y, config)
-        assert model_sha256(screened) == model_sha256(full)
+        # large nodes, whose sums come from weighted passes over their
+        # distinct rows and from parent-minus-sibling subtraction many levels deep
+        X, y = thousands_of_rows()
+        assert_fits_the_reference(X, y, ForestConfig(n_trees=2, seed=3))
 
     @pytest.mark.parametrize("scale", [2.0**-420, 2.0**420], ids=["tiny", "huge"])
     def test_targets_outside_the_trusted_range_verify_every_sampled_feature(self, scale):
@@ -468,6 +509,26 @@ class TestScreenedSearch:
         assert calls
         for feats, verified in calls:
             assert np.array_equal(np.sort(feats), verified)
+
+    @pytest.mark.parametrize("scale", [2.0**-420, 2.0**420], ids=["tiny", "huge"])
+    def test_targets_outside_the_trusted_range_verify_every_feature_at_every_depth(self, scale):
+        # searching every feature, the trees grow a depth at a time
+        rng = np.random.default_rng(8)
+        X = np.column_stack([rng.random((60, 3)) < 0.5, rng.integers(0, 4, size=60), rng.normal(size=60)])
+        y = np.round(rng.random(60) * 40) / 40 * scale
+        calls = []
+        real_best_split = forest_module._best_split
+
+        def best_split(X, y, idx, feats, min_samples_leaf):
+            calls.append(feats)
+            return real_best_split(X, y, idx, feats, min_samples_leaf)
+
+        with mock.patch.object(forest_module, "_best_split", best_split), \
+                mock.patch.object(forest_module, "_verify", side_effect=AssertionError("screened")):
+            fit(X, y, ForestConfig(n_trees=2, seed=1))
+        assert calls
+        for verified in calls:
+            assert np.array_equal(verified, np.arange(X.shape[1]))
 
     @settings(deadline=None)
     @given(st.integers(8, 300), st.booleans(), st.integers(0, 2**32 - 1))
@@ -496,6 +557,37 @@ class TestScreenedSearch:
             for b in range(act.size):
                 exact = sum(map(Fraction, y[rows][inside[:, b]].tolist()), Fraction(0))
                 assert abs(Fraction(sums[1, b]) - exact) <= err
+
+    @settings(deadline=None)
+    @given(st.integers(8, 300), st.integers(0, 2**32 - 1))
+    def test_depth_sums_are_within_the_error_the_bound_assumes(self, n, seed):
+        """The same for every node of every depth of a tree grown a depth at
+        a time: small children's sums come from one gather over all of a
+        depth's nodes, larger ones' from their own pass."""
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([rng.random((n, 3)) < 0.3, rng.integers(0, 5, size=(n, 3))]).astype(float)
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        depths = []
+        real_split_depth = forest_module._Screen.split_depth
+
+        def split_depth(screen, nodes, config):
+            depths.append(nodes)
+            return real_split_depth(screen, nodes, config)
+
+        with mock.patch.object(forest_module._Screen, "split_depth", split_depth):
+            fit(X, y, ForestConfig(n_trees=1, seed=seed % 1000))
+        screen = forest_module._Screen(X, y, 1)
+        for nodes in depths:
+            for i in range(nodes.start.size - 1):
+                rows = nodes.rows[nodes.start[i] : nodes.start[i + 1]]
+                act, sums = nodes.act[nodes.pairs[i] : nodes.pairs[i + 1]], nodes.sums[:, nodes.pairs[i] : nodes.pairs[i + 1]]
+                inside = screen.ind[np.ix_(rows, act)] == 1.0
+                assert np.array_equal(sums[0], inside.sum(axis=0))
+                for b in range(act.size):
+                    # fsum rounds the exact sum once
+                    near = math.fsum(y[rows][inside[:, b]].tolist())
+                    assert abs(Fraction(sums[1, b]) - Fraction(near)) + Fraction(math.ulp(near)) / 2 <= nodes.err[i]
+        assert len(depths) > 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_a_node_with_no_feature_to_split_on_ends_without_a_search(self, seed):
@@ -529,6 +621,40 @@ class TestScreenedSearch:
         assert ends
         assert ends == [(False, None)] * len(ends)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_node_with_no_feature_to_split_on_gets_no_search_at_any_depth(self, seed):
+        """The same searching every feature, a depth at a time: such a node
+        is a leaf, and no verified (node, feature) pair is one of its."""
+        rng = np.random.default_rng(seed)
+        token = rng.integers(0, 40, size=300)
+        X = np.column_stack([
+            rng.random((40, 6))[token] < 0.4, rng.integers(0, 4, size=(40, 2))[token], rng.normal(size=40)[token],
+        ]).astype(float)
+        y = np.round(rng.random(300) * 40) / 40
+        verified, nodes_found = [], []
+        real_verify, real_split_depth = forest_module._verify, forest_module._Screen.split_depth
+
+        def verify(rank, yrows, rows, first, m, *rest):
+            verified.extend(rows[a : a + k] for a, k in zip(first.tolist(), m.tolist()))
+            return real_verify(rank, yrows, rows, first, m, *rest)
+
+        def split_depth(screen, nodes, config):
+            columns, children = real_split_depth(screen, nodes, config)
+            for i in range(nodes.start.size - 1):
+                rows = nodes.rows[nodes.start[i] : nodes.start[i + 1]]
+                searched = rows.size >= config.min_samples_split and np.ptp(y[rows]) > 0
+                nodes_found.append((np.ptp(X[rows], axis=0).any(), searched, columns[0][i]))
+            return columns, children
+
+        with mock.patch.object(forest_module, "_verify", verify), \
+                mock.patch.object(forest_module._Screen, "split_depth", split_depth):
+            fit(X, y, ForestConfig(n_trees=3, seed=seed))
+        assert verified
+        assert all(np.ptp(X[rows], axis=0).any() for rows in verified)
+        ends = [feature for varies, searched, feature in nodes_found if searched and not varies]
+        assert ends
+        assert ends == [-1] * len(ends)
+
     def test_rows_that_differ_only_in_the_sign_of_zero_end_without_a_search(self):
         # column 0 is screened, column 1 (20 distinct values) is exact
         X = np.column_stack([np.r_[np.arange(20) % 2, 0.0, -0.0], np.r_[np.arange(20), 5, 5]]).astype(float)
@@ -539,6 +665,19 @@ class TestScreenedSearch:
         spread = (float(ysub.sum()), float(np.abs(ysub).max()), float(np.abs(ysub).sum()))
         with mock.patch.object(forest_module, "_best_split", side_effect=AssertionError("searched")):
             assert screen.split(idx, ysub, np.arange(2), screen.root(idx), spread) is None
+
+    def test_rows_that_differ_only_in_the_sign_of_zero_end_without_a_search_at_any_depth(self):
+        X = np.column_stack([np.r_[np.arange(20) % 2, 0.0, -0.0], np.r_[np.arange(20), 5, 5]]).astype(float)
+        y = np.linspace(0.0, 1.0, 22)
+        screen = forest_module._Screen(X, y, 1)
+        idx = np.array([20, 21])
+        act, sums, err = screen.root(idx)
+        nodes = forest_module._Depth(0, 0, idx, np.array([0, 2]), act, sums, np.array([0, act.size]), np.array([err]))
+        with mock.patch.object(forest_module, "_best_split", side_effect=AssertionError("searched")), \
+                mock.patch.object(forest_module, "_verify", side_effect=AssertionError("searched")):
+            (feature, *_), children = screen.split_depth(nodes, ForestConfig())
+        assert feature.tolist() == [-1]
+        assert children.start.size == 1
 
     def test_building_the_screen_holds_at_most_one_transposed_copy_of_x(self):
         """Beyond what it keeps, building the screen needs at most one
@@ -571,19 +710,69 @@ class TestScreenedSearch:
         assert peak - held <= 0.5 * X.nbytes
 
     @pytest.mark.parametrize(
-        "config,sha",
+        "data,config,sha",
         [
-            (
+            pytest.param(
+                golden_data,
                 ForestConfig(n_trees=3, max_features_per_split=12, min_samples_leaf=2, seed=5),
                 "213efdeb434f8d079ba55e3e76a0c56a1688e62bcd1a27ed44c2a4ace8b2b4bc",
+                id="golden-k12",
             ),
-            (ForestConfig(n_trees=3, seed=5), "2a3ec737acea0405c2b54db5c506e10181b7a137e630f6fa0ae80b34baa1c177"),
+            pytest.param(
+                golden_data,
+                ForestConfig(n_trees=3, seed=5),
+                "2a3ec737acea0405c2b54db5c506e10181b7a137e630f6fa0ae80b34baa1c177",
+                id="golden",
+            ),
+            pytest.param(
+                thousands_of_rows,
+                ForestConfig(n_trees=2, min_samples_leaf=2, seed=3),
+                "28f4aaccacdf44228daf1276871e533da44236be58f50813ac305221fb4b2d9d",
+                id="thousands-min_samples_leaf=2",
+            ),
+            pytest.param(
+                thousands_of_rows,
+                ForestConfig(n_trees=2, max_depth=9, seed=3),
+                "0bfcfd7b843612430b3db8c120fc32bfdb839ec168cce916183c175764d34e73",
+                id="thousands-max_depth=9",
+            ),
+            pytest.param(
+                thousands_of_rows,
+                ForestConfig(n_trees=2, bootstrap=False, seed=3),
+                "654dc224785e29bf5a0f53750ccb60c27d459e7281c6e37a3a7a70d3b0d600f6",
+                id="thousands-bootstrap=False",
+            ),
+            pytest.param(
+                thousands_of_rows,
+                ForestConfig(n_trees=2, min_samples_split=10, seed=3),
+                "7dc01e8c19bf98979058347deb605f0d09e87203d50fca7951fec64187b02197",
+                id="thousands-min_samples_split=10",
+            ),
         ],
     )
-    def test_golden_model_bytes(self, config, sha):
-        # the hashes are those of the exhaustive search before screening
-        X, y = golden_data()
+    def test_golden_model_bytes(self, data, config, sha):
+        # the golden hashes are those of the exhaustive search before
+        # screening; the thousands-of-rows hashes those of the one-node-at-
+        # a-time grower before trees grew a depth at a time
+        X, y = data()
         assert model_sha256(fit(X, y, config)) == sha
+
+    def test_node_totals_match_numpy_sums_bit_for_bit(self):
+        """``_totals`` gives each node's ``np.sum(v)`` and ``np.sum(v * v)``
+        bits, for every node length up to 300 and some longer: nodes of one
+        length are summed as the rows of one 2-D array, so numpy must sum a
+        row as it sums the same values alone."""
+        rng = np.random.default_rng(27)
+        lengths = [*range(1, 301), 511, 512, 513, 1000, 1024, 4097, 6130]
+        sizes = np.repeat(lengths, rng.integers(1, 5, size=len(lengths)))
+        rng.shuffle(sizes)
+        start = np.concatenate([[0], np.cumsum(sizes)])
+        ys = rng.normal(size=start[-1]) * 10.0 ** rng.uniform(-3, 3, size=start[-1])
+        which = rng.random(sizes.size) < 0.9
+        t1, t2 = forest_module._totals(ys, start, which)
+        nodes = [ys[a:b] for a, b in zip(start[:-1], start[1:])]
+        assert t1.tobytes() == np.array([np.sum(v) if w else 0.0 for v, w in zip(nodes, which)]).tobytes()
+        assert t2.tobytes() == np.array([np.sum(v * v) if w else 0.0 for v, w in zip(nodes, which)]).tobytes()
 
 
 def model_sha256(model: RandomForest) -> str:
