@@ -10,18 +10,18 @@ The search is screened: features with few distinct values are scored at
 every boundary from one pass of sums per node, and only those whose score
 comes within a rounding bound of the best go, with every many-valued
 feature, to the exhaustive search (``_best_split``). The result is the
-exhaustive search's, bit for bit (see ``_Screen.split``).
+exhaustive search's, bit for bit (see ``_Screen.split_depth``).
+
+Every tree grows a depth at a time, all of a depth's nodes searched
+together (``_Screen.split_depth``), and is renumbered into pre-order at the
+end.
 
 Determinism: tree t draws from its own generator seeded with
 ``derive_seed(config.seed, t)``, so results are independent of whether trees
 are built one after another or in parallel worker processes. Within a tree
-the generator is consumed in node pre-order (bootstrap indices first, then
-one feature draw per split attempt when fewer than all features are
-sampled). A tree that samples features grows one node at a time in
-pre-order. A tree that searches every feature draws nothing after its
-bootstrap, so it grows a depth at a time, all of a depth's nodes searched
-together (``_Screen.split_depth``), and is renumbered into pre-order at the
-end.
+the generator is consumed in level order: bootstrap indices first, then,
+when fewer than all features are sampled, one feature draw per split
+attempt, depth by depth and left to right within a depth.
 """
 
 from __future__ import annotations
@@ -394,97 +394,32 @@ class _Screen:
             sums += np.einsum("ij,ik->kj", self.ind.take(block, axis=0), self.ones_y[block] * count[at : at + 256, None])
         return sums[:, act]
 
-    @staticmethod
-    def _cutting(act, sums, m, err):
-        """The state of an m-row node: ``act`` and ``sums`` cut down to the
-        boundaries that cut it."""
-        live = (sums[0] > 0) & (sums[0] < m)
-        return act[live], sums[:, live], err
-
     def root(self, idx: np.ndarray):
         """The screen state of a root over rows ``idx``."""
         act = np.arange(self.feature.size)
-        err = _gamma(idx.size + 1) * float(np.abs(self.y[idx]).sum())
-        return self._cutting(act, self._sums(idx, act), idx.size, err)
+        sums = self._sums(idx, act)
+        cut = (sums[0] > 0) & (sums[0] < idx.size)
+        return act[cut], sums[:, cut], _gamma(idx.size + 1) * float(np.abs(self.y[idx]).sum())
 
-    def children(self, node, left_idx: np.ndarray, right_idx: np.ndarray, total_abs: float):
-        """The screen states of a node's two children; ``total_abs`` is the
-        sum of |y| over the node. The smaller child's sums come from its
-        rows, the larger's are the node's minus the smaller's, and so carry
-        the errors of both."""
-        act, sums, err = node
-        rows = (left_idx, right_idx)
-        small = int(right_idx.size < left_idx.size)
-        small_sums = self._sums(rows[small], act)
-        small_err = _gamma(rows[small].size + 1) * total_abs
-        large_err = (err + small_err) * (1.0 + _U) + _U * total_abs
-        states = [None, None]
-        states[small] = self._cutting(act, small_sums, rows[small].size, small_err)
-        states[1 - small] = self._cutting(act, sums - small_sums, rows[1 - small].size, large_err)
-        return states
+    def split_depth(self, nodes: _Depth, config: ForestConfig, rng: np.random.Generator):
+        """Split the nodes of one depth: their Tree columns, ``(feature,
+        threshold, left, right, value)`` with children named by id, and the
+        next depth, each split node's left then right child.
 
-    def split(self, idx, ysub, feats, node, spread):
-        """``_best_split(X, y, idx, feats, min_samples_leaf)``, computed by
-        running it on a shortlist of the features only.
-
-        ``node`` is the node's screen state and ``spread`` is
-        ``(sum y, max |y|, sum |y|)`` over the node.
-
-        The verify step is ``_best_split`` itself, and what it finds for a
+        When fewer than all d features are sampled, each searched node draws
+        its k features from ``rng``, in node order. Each searched node takes
+        ``_best_split(X, y, rows, its features, min_samples_leaf)``, computed
+        for all the nodes at once by running it (``_verify``) on a shortlist
+        of their (node, feature) pairs only. What the search finds for a
         feature depends only on that feature's column: per-column stable
         sorts and sequential cumsums. So the result is the full search's
         whenever the shortlist holds the full search's winner, the lowest
-        feature with the smallest computed SSE. The shortlist is every exact
-        feature, and every screened feature with a boundary whose screened
-        score comes within ``4 * E`` of the best (see ``_screen_bound``): no
-        feature left out can reach the winning SSE. Where the bound is not
-        trusted, every sampled feature is verified.
-        """
-        X, y, min_samples_leaf = self.X, self.y, self.min_samples_leaf
-        m = idx.size
-        total, peak, total_abs = spread
-        act, (count, left), err = node
-        if not act.size and not np.ptp(X[np.ix_(idx, self.exact)], axis=0).any():
-            return None
-        if not (m <= 1 << 30 and 2.0**-400 <= peak <= 2.0**400):
-            return _best_split(X, y, idx, feats, min_samples_leaf)
-        right = total - left
-        n_right = m - count
-        score = left * left / count + right * right / n_right
-        if min_samples_leaf > 1:
-            score[(count < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
-        feature = self.feature[act]
-        exact = self.exact
-        if feats.size < X.shape[1]:
-            sampled = np.zeros(X.shape[1], dtype=bool)
-            sampled[feats] = True
-            exact = exact[sampled[exact]]
-            score[~sampled[feature]] = -np.inf
-        top = float(score.max(initial=-np.inf))
-        keep = np.zeros(0, dtype=np.intp)
-        if top > -np.inf:
-            floor = top - 4.0 * _screen_bound(m, peak, total_abs, float(np.einsum("i,i->", ysub, ysub)), err)
-            keep = np.unique(feature[score >= floor])
-        verify = np.sort(np.concatenate([exact, keep]))
-        if not verify.size:
-            return None
-        return _best_split(X, y, idx, verify, min_samples_leaf)
-
-    def split_depth(self, nodes: _Depth, config: ForestConfig):
-        """Split the nodes of one depth, searching every feature: their Tree
-        columns, ``(feature, threshold, left, right, value)`` with children
-        named by id, and the next depth, each split node's left then right
-        child.
-
-        Each searched node takes ``_best_split(X, y, rows, all features,
-        min_samples_leaf)``, computed as ``split`` computes it but for all
-        the nodes at once (``_verify``): what the search finds for a feature
-        depends only on that feature's column, so the result is the full
-        search's whenever the shortlist holds the full search's winner. The
-        shortlist is every exact feature that takes two values on the node,
-        and every screened feature with a boundary whose screened score
-        comes within ``4 * E`` of the best (see ``_screen_bound``). Where the
-        bound is not trusted, ``_best_split`` runs on every feature.
+        feature with the smallest computed SSE. The shortlist is every
+        node's features that are exact and take two values on it, and every
+        screened one with a boundary whose screened score comes within
+        ``4 * E`` of the node's best (see ``_screen_bound``): no feature left
+        out can reach the winning SSE. Where the bound is not trusted,
+        ``_best_split`` runs on all the node's features.
         """
         X, y, msl = self.X, self.y, self.min_samples_leaf
         d, count = X.shape[1], nodes.start.size - 1
@@ -499,6 +434,12 @@ class _Screen:
         exact = self.exact
         xe = self.rank[np.ix_(exact, nodes.rows)].T
         varies = np.minimum.reduceat(xe, first) != np.maximum.reduceat(xe, first)
+        sampled = None
+        if config.max_features_per_split < d:
+            sampled = np.zeros((count, d), dtype=bool)
+            for i in np.flatnonzero(live).tolist():
+                sampled[i, rng.choice(d, size=config.max_features_per_split, replace=False)] = True
+            varies &= sampled[:, exact]
         n_pairs = np.diff(nodes.pairs)
         live &= (n_pairs > 0) | varies.any(axis=1)
 
@@ -506,7 +447,8 @@ class _Screen:
         peak = np.maximum(-ymin, ymax)
         trusted = (m <= 1 << 30) & (peak >= 2.0**-400) & (peak <= 2.0**400)
         for i in np.flatnonzero(live & ~trusted).tolist():
-            found = _best_split(X, y, nodes.rows[nodes.start[i] : nodes.start[i + 1]], np.arange(d), msl)
+            feats = np.arange(d) if sampled is None else np.flatnonzero(sampled[i])
+            found = _best_split(X, y, nodes.rows[nodes.start[i] : nodes.start[i + 1]], feats, msl)
             if found is not None:
                 feature[i], threshold[i] = found
         live &= trusted
@@ -522,6 +464,8 @@ class _Screen:
             score[(left_count < msl) | (n_right < msl)] = -np.inf
         pair_feature = self.feature[nodes.act]
         score[~live[pair_node]] = -np.inf
+        if sampled is not None:
+            score[~sampled[pair_node, pair_feature]] = -np.inf
         top = np.maximum.reduceat(np.append(score, -np.inf), nodes.pairs[:-1])
         top[n_pairs == 0] = -np.inf
         total_abs = np.add.reduceat(np.abs(ys), first)
@@ -652,66 +596,17 @@ def _screen_bound(m, peak, total_abs, sum_sq, err):
 
 
 def _grow_tree(X, y, config: ForestConfig, rng: np.random.Generator, screen: _Screen) -> Tree:
-    n, d = X.shape
-    if config.bootstrap:
-        root_idx = rng.integers(0, n, size=n)
-    else:
-        root_idx = np.arange(n)
-    k = min(config.max_features_per_split, d)
-    if k >= d:
-        return _grow_by_depth(root_idx, config, screen)
-
-    # At k < d each searched node draws its features, in pre-order, so the
-    # nodes grow one at a time. One row per node, in Tree's column order:
-    # feature, threshold, left, right, value. Explicit stack; children pushed
-    # right-then-left so nodes are created in pre-order, which also fixes the
-    # rng consumption order. An entry names the parent row and the column
-    # that links it to the node, and carries the node's screen state.
-    rows: list[list] = []
-    stack = [(root_idx, 0, None, 0, screen.root(root_idx))]
-    while stack:
-        sample_idx, depth, parent, column, node = stack.pop()
-        if parent is not None:
-            parent[column] = len(rows)
-        row = [-1, 0.0, -1, -1, 0.0]
-        rows.append(row)
-
-        ysub = y[sample_idx]
-        m = sample_idx.size
-        ymin = float(ysub.min())
-        ymax = float(ysub.max())
-        split = None
-        if _searched(m, depth, config) and ymin != ymax:
-            feats = np.sort(rng.choice(d, size=k, replace=False))
-            total = float(ysub.sum())
-            total_abs = total if ymin >= 0.0 else float(np.abs(ysub).sum())
-            split = screen.split(sample_idx, ysub, feats, node, (total, max(-ymin, ymax), total_abs))
-        if split is None:
-            # constant targets keep their exact value; otherwise the mean
-            row[4] = ymin if ymin == ymax else float(ysub.mean())
-            continue
-        row[0], row[1] = split
-        mask = X[sample_idx, row[0]] <= row[1]
-        left_idx, right_idx = sample_idx[mask], sample_idx[~mask]
-        left_node = right_node = None
-        if _searched(left_idx.size, depth + 1, config) or _searched(right_idx.size, depth + 1, config):
-            left_node, right_node = screen.children(node, left_idx, right_idx, total_abs)
-        stack.append((right_idx, depth + 1, row, 3, right_node))
-        stack.append((left_idx, depth + 1, row, 2, left_node))
-    return Tree(*zip(*rows))
-
-
-def _grow_by_depth(root_idx: np.ndarray, config: ForestConfig, screen: _Screen) -> Tree:
-    """The tree over rows ``root_idx`` when every feature is searched at
-    every node. The tree then draws nothing after its bootstrap, so the
-    order its nodes grow in cannot change a byte: each depth is split in
-    one step, and the nodes are renumbered into pre-order at the end, from
-    the links between parents and children."""
+    """One tree, drawing from ``rng`` in level order: its bootstrap, then
+    each depth's feature draws. Each depth is split in one step, and the
+    nodes are renumbered into pre-order at the end, from the links between
+    parents and children."""
+    n = X.shape[0]
+    root_idx = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
     act, sums, err = screen.root(root_idx)
     nodes = _Depth(0, 0, root_idx, np.array([0, root_idx.size]), act, sums, np.array([0, act.size]), np.array([err]))
     columns = []
     while nodes.start.size > 1:
-        found, nodes = screen.split_depth(nodes, config)
+        found, nodes = screen.split_depth(nodes, config, rng)
         columns.append(found)
     feature, threshold, left, right, value = (np.concatenate(column) for column in zip(*columns))
     pre, stack = [], [0]
@@ -798,8 +693,11 @@ def fit(
 ) -> RandomForest:
     """Train a forest of ``config.n_trees`` CART trees.
 
-    Each tree is grown on a bootstrap sample of size n (drawn with replacement
-    from its own derived seed) unless ``config.bootstrap`` is off.
+    Each tree is grown a depth at a time on a bootstrap sample of size n
+    (drawn with replacement from its own derived seed) unless
+    ``config.bootstrap`` is off. Unless ``config.max_features_per_split`` is
+    at least the number of features, each node searched for a split draws
+    that many features from the same seed, in level order.
 
     ``n_threads`` trees are grown at once (0: one per usable CPU), each in a
     forked worker process; with one, or where fork is unavailable, they are
