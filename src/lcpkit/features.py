@@ -186,6 +186,12 @@ class FeatureSchema:
         vocabs = {"bigram": self.bigram_vocab, "trigram": self.trigram_vocab}
         return {name: {g: j for j, g in enumerate(vocab)} for name, vocab in vocabs.items()}
 
+    @cached_property
+    def _log_counts(self) -> dict[str, dict[str, float]]:
+        """``log1p`` of each counted gram's training count, by ``bigram``/``trigram``."""
+        counts = {"bigram": self.bigram_counts, "trigram": self.trigram_counts}
+        return {name: {g: math.log1p(c) for g, c in table.items()} for name, table in counts.items()}
+
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
         doc["config"] = {f.name: getattr(self.config, f.name) for f in fields(FeatureConfig)}
@@ -255,13 +261,14 @@ def _key(inst: Instance) -> str:
 
 @dataclass
 class _Rows:
-    """Instances with what the blocks read for them: each one's ``_key``,
-    each family's lexicon view and the tagger."""
+    """Instances with what the blocks read for them: each one's ``_key``
+    and its n-grams, each family's lexicon view and the tagger."""
 
     instances: Sequence[Instance]
     views: Mapping[str, Lexicon]
     tagger: Tagger | None
     keys: list[str] = field(init=False)
+    _grams: dict[int, list[list[str]]] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.keys = [_key(inst) for inst in self.instances]
@@ -269,6 +276,12 @@ class _Rows:
     def lookup(self, family: str) -> list[float | None]:
         """The family's lexicon value for every key, None where it has none."""
         return [lookup(self.views[family], key) for key in self.keys]
+
+    def grams(self, n: int) -> list[list[str]]:
+        """``char_ngrams(key, n)`` of every key, made once per n."""
+        if n not in self._grams:
+            self._grams[n] = [char_ngrams(key, n) for key in self.keys]
+        return self._grams[n]
 
 
 @dataclass(frozen=True)
@@ -387,21 +400,18 @@ def _ngram_blocks(n: int, name: str, prefix: str) -> tuple[Block, Block]:
         state[f"{name}_counts"] = dict(kept)
 
     def fill_logs(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
-        counts = getattr(schema, f"{name}_counts")
-        logs = [[math.log1p(counts.get(g, 0)) for g in char_ngrams(key, n)] for key in rows.keys]
+        table = schema._log_counts[name]
+        logs = [[table.get(g, 0.0) for g in grams] for grams in rows.grams(n)]
         out[:, 0] = [sum(row) / len(row) for row in logs]
         out[:, 1] = [min(row) for row in logs]
 
     def fill_counts(rows: _Rows, schema: FeatureSchema, out: np.ndarray) -> None:
         index = schema._vocab_index[name]
-        hits = [
-            (i, j)
-            for i, key in enumerate(rows.keys)
-            for g in char_ngrams(key, n)
-            if (j := index.get(g)) is not None
-        ]
-        if hits:
-            np.add.at(out, tuple(np.array(hits).T), 1.0)
+        grams = rows.grams(n)
+        j = np.array([index.get(g, -1) for row in grams for g in row], dtype=np.intp)
+        i = np.repeat(np.arange(len(grams)), np.fromiter(map(len, grams), np.intp, len(grams)))
+        hit = j >= 0
+        np.add.at(out, (i[hit], j[hit]), 1.0)
 
     return (
         Block(family, lambda schema: (f"{name}_log_mean", f"{name}_log_min"), fill_logs, fit=fit),
@@ -558,10 +568,12 @@ def extract_matrix(
 
     Total over valid instances: missing lexicon values are imputed with their
     paired indicator set to 0, unknown n-grams count as 0, unknown POS maps
-    to "X". The result never contains non-finite values.
+    to "X". The result never contains non-finite values. It is column-major
+    (Fortran order), the layout ``forest.predict_batch`` walks, so each
+    block fills whole columns.
     """
     rows = _Rows(instances, resolve_family_lexicons(registry, schema.config, tagger is not None), tagger)
-    out = np.zeros((len(instances), len(schema.columns)), dtype=np.float64)
+    out = np.zeros((len(instances), len(schema.columns)), dtype=np.float64, order="F")
     for block, cols in schema._layout:
         block.fill(rows, schema, out[:, cols])
     return out

@@ -488,6 +488,39 @@ class TestExtract:
         for k, probe in enumerate(probes):
             assert extract_matrix([probe], schema, registry, tagger).tobytes() == X[k : k + 1].tobytes()
 
+    def test_matrix_is_column_major_and_the_stacked_rows(self):
+        registry, tagger, schema = every_family_schema()
+        probes = [inst(t, f"p{k}") for k, t in enumerate(["cat", "zebra", " Cats ", "a", "banana", "a-b"])]
+        X = extract_matrix(probes, schema, registry, tagger)
+        assert X.flags.f_contiguous and X.dtype == np.float64
+        rows = np.vstack([extract_matrix([probe], schema, registry, tagger) for probe in probes])
+        assert X.tobytes() == rows.tobytes()
+
+    def test_ngram_columns_match_a_per_row_reference(self):
+        train = [inst(t, f"i{k}") for k, t in enumerate(["banana", "bandana", "cab", "a", "nab", "banana"])]
+        config = FeatureConfig(enabled=frozenset({"char_bigrams", "char_trigrams"}), trigram_min_count=1)
+        registry = make_registry()
+        schema = fit_schema(train, registry, config)
+        # repeated grams, grams all outside the vocabulary, one letter, and a
+        # key that is stripped and lowercased
+        tokens = ["banana", "qxz", "a", " BanDana ", "cab", "zz"]
+        assert not {g for n in (2, 3) for g in char_ngrams("qxz", n)} & set(schema.bigram_vocab + schema.trigram_vocab)
+        X = extract_matrix([inst(t, f"p{k}") for k, t in enumerate(tokens)], schema, registry)
+        for name, n, prefix in (("bigram", 2, "bi:"), ("trigram", 3, "tri:")):
+            counts, vocab = getattr(schema, f"{name}_counts"), getattr(schema, f"{name}_vocab")
+            expected = np.zeros((len(tokens), 2 + len(vocab)))
+            for k, token in enumerate(tokens):
+                grams = char_ngrams(token.strip(), n)
+                logs = [math.log1p(counts.get(g, 0)) for g in grams]
+                expected[k, :2] = sum(logs) / len(logs), min(logs)
+                for g in grams:
+                    if g in vocab:
+                        expected[k, 2 + vocab.index(g)] += 1.0
+            columns = [schema.columns.index(f"{name}_log_mean"), schema.columns.index(f"{name}_log_min")]
+            columns += [schema.columns.index(prefix + g) for g in vocab]
+            assert X[:, columns].tobytes() == expected.tobytes()
+        assert X[0, schema.columns.index("tri:ana")] == 2.0
+
     def test_extract_total_over_odd_tokens(self):
         _, registry, schema = self.make_schema(
             tokens=("cat", "dog"),

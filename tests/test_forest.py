@@ -977,16 +977,32 @@ class TestFlatTraversal:
 
     def test_real_group_size_boundaries(self):
         rng = np.random.default_rng(21)
-        half = forest_module._PAIRS_PER_GROUP // 2
+        pairs = forest_module._PAIRS_PER_GROUP
+        one, two, half = pairs // 2048, pairs // 1024, pairs // 2
         # 2048 trees in one group, then in two, then in three; 3 trees two
         # to a group, then one
-        for n_trees, rows in ((2048, 4), (2048, 5), (2048, 8), (2048, 9), (3, half), (3, half + 1)):
+        cases = ((2048, one), (2048, one + 1), (2048, two), (2048, two + 1), (3, half), (3, half + 1))
+        assert [-(-n_trees // (pairs // rows)) for n_trees, rows in cases] == [1, 2, 2, 3, 2, 3]
+        for n_trees, rows in cases:
             model = stumps(rng, n_trees)
             # distinct rows, most of them on a threshold in the first two columns
             X = np.column_stack([rng.choice(GRID, size=(rows, 2)), rng.permutation(rows) / rows])
             batch = predict_batch(model, X)
             assert batch.tobytes() == reference_predict(model, X).tobytes()
             assert predict_batch(model, X[-1:]).tobytes() == batch[-1:].tobytes()
+
+
+    def test_memory_layout_does_not_change_the_bytes(self):
+        """C-ordered, Fortran-ordered and strided copies of one batch score
+        the same bytes: the walk reads cell (row, f) of a column-major copy."""
+        rng = np.random.default_rng(29)
+        X = rng.choice(GRID, size=(600, 4))
+        model = fit(X, rng.random(600), ForestConfig(n_trees=5, max_features_per_split=2, seed=2))
+        wide = np.empty((1200, 4))
+        wide[::2] = X
+        expected = reference_predict(model, X).tobytes()
+        for layout in (np.ascontiguousarray(X), np.asfortranarray(X), wide[::2]):
+            assert predict_batch(model, layout).tobytes() == expected
 
 
 @st.composite
