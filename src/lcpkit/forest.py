@@ -9,7 +9,7 @@ are broken toward the lower feature index, then the lower threshold.
 The search is screened: features with few distinct values are scored at
 every boundary from one pass of sums per node, and only those whose score
 comes within a rounding bound of the best go, with every many-valued
-feature, to the exhaustive search (``_best_split``). The result is the
+feature, to the one exact search (``_verify``). The result is the
 exhaustive search's, bit for bit (see ``_Screen.split_depth``).
 
 Every tree grows a depth at a time, all of a depth's nodes searched
@@ -26,7 +26,6 @@ attempt, depth by depth and left to right within a depth.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import re
@@ -162,54 +161,9 @@ class RandomForest:
         return len(self.feature_names)
 
 
-def _best_split(X, y, sample_idx, feats, min_samples_leaf):
-    """Exhaustive variance-reduction search over the sampled features.
-
-    Returns (feature_index, threshold) or None when no valid candidate exists.
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values; the minimizer of summed child SSE wins, ties going to the lower
-    feature index then the lower threshold (feats must be sorted ascending).
-    """
-    m = sample_idx.size
-    k = feats.size
-    ysub = y[sample_idx]
-    Xs = X[np.ix_(sample_idx, feats)]
-    order = np.argsort(Xs, axis=0, kind="stable")
-    xs = np.take_along_axis(Xs, order, axis=0)
-    ys = ysub[order]
-    c1 = np.cumsum(ys, axis=0)[:-1]
-    c2 = np.cumsum(ys * ys, axis=0)[:-1]
-    # Node totals are computed once so identical partitions reached through
-    # different features score identically.
-    t1 = float(np.sum(ysub))
-    t2 = float(np.sum(ysub * ysub))
-    nl = np.arange(1, m, dtype=np.float64)[:, None]
-    nr = float(m) - nl
-    sse = (c2 - c1 * c1 / nl) + ((t2 - c2) - (t1 - c1) * (t1 - c1) / nr)
-    valid = xs[:-1] != xs[1:]
-    if min_samples_leaf > 1:
-        valid &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-    sse = np.where(valid, sse, np.inf)
-    best_pos = np.argmin(sse, axis=0)
-    best_sse = sse[best_pos, np.arange(k)]
-    j = int(np.argmin(best_sse))
-    if not math.isfinite(best_sse[j]):
-        return None
-    p = int(best_pos[j])
-    a = float(xs[p, j])
-    b = float(xs[p + 1, j])
-    thr = (a + b) / 2.0
-    if thr >= b:  # midpoint rounded onto the right value; keep the cut below b
-        thr = a
-    return int(feats[j]), thr
-
-
 #: Features with at most this many boundaries between distinct values are
 #: screened; features with more always go to the exact search.
 _SCREEN_MAX_BOUNDARIES = 16
-#: Cap on the boundary indicator matrix; past it, the features with the
-#: fewest boundaries are screened and the rest go to the exact search.
-_SCREEN_MAX_BYTES = 1 << 28
 #: Children of at most this many rows get their screen sums from one
 #: gather over all of a depth's nodes; a larger child gets its own pass, so
 #: the gather stays small. Four trees of the benchmark's seed-1 training
@@ -256,8 +210,8 @@ def _totals(ys: np.ndarray, start: np.ndarray, which: np.ndarray):
 
 
 def _verify(rank, yrows, rows, first, m, t1, t2, feat, width: int, min_samples_leaf: int):
-    """``_best_split``'s search of one feature at one node, bit for bit, for
-    many (node, feature) pairs at once.
+    """The exact search of one feature at one node, for many (node,
+    feature) pairs at once.
 
     Pair i searches feature ``feat[i]`` over the rows
     ``rows[first[i]:first[i] + m[i]]``, whose targets ``yrows`` holds at the
@@ -265,11 +219,13 @@ def _verify(rank, yrows, rows, first, m, t1, t2, feat, width: int, min_samples_l
     (``np.sum``'s bits); ``m[i] <= width``. Its rows fill one row of
     ``width`` cells, each cell keyed by the rank of its value (``rank``, see
     ``_Screen``) and then its position: sorting the keys orders the node's
-    rows as ``_best_split``'s stable sort does. Padding takes a rank above
-    every value's and the 0.0 at ``yrows[rows.size]``, so the sequential
-    cumsums along the row give ``_best_split``'s prefix sums. Returns each
-    pair's smallest SSE (+inf if it has no valid cut) and the rows either
-    side of that cut.
+    rows by value, stably. Padding takes a rank above every value's and the
+    0.0 at ``yrows[rows.size]``, so the sequential cumsums along the row
+    give the prefix sums of the sorted targets. Each cut between two
+    distinct values, with at least ``min_samples_leaf`` rows either side,
+    has the SSE ``c2 - c1**2/nl + ((t2 - c2) - (t1 - c1)**2/nr)``. Returns
+    each pair's smallest SSE (+inf if it has no valid cut) and the rows
+    either side of its first cut with that SSE.
     """
     pair = np.arange(m.size)
     shift = int(rows.size).bit_length()
@@ -328,57 +284,44 @@ class _Depth:
 class _Screen:
     """Per-fit data of the screened split search, shared by the fit workers.
 
-    ``ind[:, b]`` is 1.0 where ``X[:, feature[b]] <= value`` for boundary b,
-    one boundary below each distinct value but the largest of every screened
-    feature, in feature order. A node carries ``(act, sums, err)``: the
-    boundaries that cut it (a boundary that cuts no row off a node cuts none
-    off its children either), their left counts (exact) and left target
-    sums (each within ``err`` of its exact value), summed over the node's
-    rows by ``np.einsum`` and ``np.bincount``, which make no BLAS call: a
-    fit worker then runs on its own thread only. A node that no boundary
-    cuts and on which no ``exact`` feature takes two values has no feature
-    to split on. ``rank[f, i]`` is the rank of ``X[i, f]`` among feature
-    f's distinct values.
+    ``rank[f, i]`` is the rank of ``X[i, f]`` among feature f's distinct
+    values: the number of them below it. ``ind[:, b]`` is True where
+    ``X[:, feature[b]] <= value`` for boundary b, one boundary below each
+    distinct value but the largest of every screened feature, in feature
+    order; it takes one byte per cell. A node carries ``(act, sums, err)``:
+    the boundaries that cut it (a boundary that cuts no row off a node cuts
+    none off its children either), their left counts (exact) and left
+    target sums (each within ``err`` of its exact value), summed over the
+    node's rows by ``np.einsum`` and ``np.bincount``, which make no BLAS
+    call: a fit worker then runs on its own thread only. A node that no
+    boundary cuts and on which no ``exact`` feature takes two values has no
+    feature to split on.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
         self.X, self.y, self.min_samples_leaf = X, y, min_samples_leaf
-        n = X.shape[0]
+        n, d = X.shape
         xt = X.T  # C-contiguous when X is column-major, as extraction makes it
         xs = xt.copy()
         xs.sort(axis=1)
         new = xs[:, 1:] != xs[:, :-1]
         width = new.sum(axis=1)  # boundaries per feature
-        cand = np.flatnonzero((width >= 1) & (width <= _SCREEN_MAX_BOUNDARIES))
-        by_width = cand[np.argsort(width[cand], kind="stable")]
-        cols = np.sort(by_width[np.cumsum(width[by_width]) * (8 * n) <= _SCREEN_MAX_BYTES])
+        below = xs[:, :-1][new]  # each feature's distinct values but the largest, feature by feature
+        del xs, new  # freed before ``rank`` and ``ind`` are allocated
+        # a value's rank is the number of its feature's distinct values below it
+        self.rank = np.empty((d, n), dtype=np.min_scalar_type(n))
+        for f, end, w in zip(range(d), np.cumsum(width).tolist(), width.tolist()):
+            self.rank[f] = np.searchsorted(below[end - w : end], xt[f])
+        cols = np.flatnonzero((width >= 1) & (width <= _SCREEN_MAX_BOUNDARIES))
         # constant features never split, so they are neither screened nor exact
-        self.exact = np.setdiff1d(np.flatnonzero(width), cols)
-        self.feature, pos = np.divmod(np.flatnonzero(new[cols]), n - 1)  # 2-D nonzero is 10x slower
-        self.feature = cols[self.feature]
-        value = xs[self.feature, pos]
-        del xs, new  # freed before ``ind``, which is about as large, is allocated
-        # each value's rank among its feature's distinct values, by feature
-        self.rank = np.zeros((X.shape[1], n), dtype=np.min_scalar_type(n))
-        for f in self.exact.tolist():
-            self.rank[f] = np.unique(xt[f], return_inverse=True)[1]
-        # A screened value's rank is the number of its feature's boundaries
-        # below it, and the value is at most the j-th boundary exactly when
-        # its rank is at most j. Rows go a block at a time, which stays in
-        # cache.
-        first = np.searchsorted(self.feature, cols)
-        count = np.diff(np.append(first, self.feature.size))
-        more = [np.flatnonzero(count > k) for k in range(1, int(count.max(initial=0)))]
-        group = np.repeat(np.arange(cols.size), count)
-        j = (np.arange(self.feature.size) - first[group]).astype(np.uint8)
-        self.ind = np.empty((n, self.feature.size))
+        self.exact = np.flatnonzero(width > _SCREEN_MAX_BOUNDARIES)
+        self.feature = np.repeat(cols, width[cols])
+        # A value is at most its feature's j-th boundary exactly when its rank
+        # is at most j. Rows go a block at a time, which stays in cache.
+        j = _ranges(np.zeros(cols.size, np.intp), width[cols]).astype(self.rank.dtype)
+        self.ind = np.empty((n, self.feature.size), dtype=bool)
         for rows in range(0, n, 256):
-            x = xt[cols, rows : rows + 256]
-            below = (x > value[first, None]).astype(np.uint8)
-            for k, some in enumerate(more, 1):
-                below[some] += x[some] > value[first[some] + k, None]
-            self.rank[cols, rows : rows + 256] = below
-            np.less_equal(below.T.take(group, axis=1), j, out=self.ind[rows : rows + 256])
+            np.less_equal(self.rank[self.feature, rows : rows + 256].T, j, out=self.ind[rows : rows + 256])
         self.ones_y = np.column_stack([np.ones(n), y])
 
     def _sums(self, idx: np.ndarray, act: np.ndarray) -> np.ndarray:
@@ -411,18 +354,20 @@ class _Screen:
 
         When fewer than all d features are sampled, each searched node draws
         its k features from ``rng``, in node order. Each searched node takes
-        ``_best_split(X, y, rows, its features, min_samples_leaf)``, computed
-        for all the nodes at once by running it (``_verify``) on a shortlist
-        of their (node, feature) pairs only. What the search finds for a
-        feature depends only on that feature's column: per-column stable
-        sorts and sequential cumsums. So the result is the full search's
-        whenever the shortlist holds the full search's winner, the lowest
-        feature with the smallest computed SSE. The shortlist is every
-        node's features that are exact and take two values on it, and every
-        screened one with a boundary whose screened score comes within
-        ``4 * E`` of the node's best (see ``_screen_bound``): no feature left
-        out can reach the winning SSE. Where the bound is not trusted,
-        ``_best_split`` runs on all the node's features.
+        the exhaustive search's split over its features: the lowest feature
+        with the smallest SSE, at its lowest cut with that SSE. One exact
+        search (``_verify``) computes it for all the nodes at once, on a
+        shortlist of their (node, feature) pairs only. What the search finds
+        for a feature depends only on that feature's column: per-column
+        stable sorts and sequential cumsums. So the result is the full
+        search's whenever the shortlist holds the full search's winner. The
+        shortlist is every node's features of its draw that are exact and
+        take two values on it, and every screened one with a boundary whose
+        screened score comes within ``4 * E`` of the node's best (see
+        ``_screen_bound``): no feature left out can reach the winning SSE.
+        Where the bound is not trusted, every screened feature of the draw
+        with a boundary that cuts the node (a score of at least 0; masked
+        pairs score -inf) is shortlisted.
         """
         X, y, msl = self.X, self.y, self.min_samples_leaf
         d, count = X.shape[1], nodes.start.size - 1
@@ -434,27 +379,16 @@ class _Screen:
         # constant targets keep their exact value; otherwise the mean
         value = np.where(varied, t1 / m, ymin)
         live = varied & _searched(m, nodes.depth, config)
-        exact = self.exact
-        xe = self.rank[np.ix_(exact, nodes.rows)].T
-        varies = np.minimum.reduceat(xe, first) != np.maximum.reduceat(xe, first)
-        sampled = None
+        # each node's draw of features: all of them when all are searched
+        sampled = np.full((count, d), config.max_features_per_split >= d)
         if config.max_features_per_split < d:
-            sampled = np.zeros((count, d), dtype=bool)
             for i in np.flatnonzero(live).tolist():
                 sampled[i, rng.choice(d, size=config.max_features_per_split, replace=False)] = True
-            varies &= sampled[:, exact]
+        exact = self.exact
+        xe = self.rank[np.ix_(exact, nodes.rows)].T
+        varies = (np.minimum.reduceat(xe, first) != np.maximum.reduceat(xe, first)) & sampled[:, exact]
         n_pairs = np.diff(nodes.pairs)
         live &= (n_pairs > 0) | varies.any(axis=1)
-
-        feature, threshold = np.full(count, -1), np.zeros(count)
-        peak = np.maximum(-ymin, ymax)
-        trusted = (m <= 1 << 30) & (peak >= 2.0**-400) & (peak <= 2.0**400)
-        for i in np.flatnonzero(live & ~trusted).tolist():
-            feats = np.arange(d) if sampled is None else np.flatnonzero(sampled[i])
-            found = _best_split(X, y, nodes.rows[nodes.start[i] : nodes.start[i + 1]], feats, msl)
-            if found is not None:
-                feature[i], threshold[i] = found
-        live &= trusted
 
         # the screen: every (node, boundary) pair's score, the node's sum of
         # squares minus the SSE of the cut
@@ -466,14 +400,14 @@ class _Screen:
         if msl > 1:
             score[(left_count < msl) | (n_right < msl)] = -np.inf
         pair_feature = self.feature[nodes.act]
-        score[~live[pair_node]] = -np.inf
-        if sampled is not None:
-            score[~sampled[pair_node, pair_feature]] = -np.inf
+        score[~(live[pair_node] & sampled[pair_node, pair_feature])] = -np.inf
         top = np.maximum.reduceat(np.append(score, -np.inf), nodes.pairs[:-1])
         top[n_pairs == 0] = -np.inf
         total_abs = np.add.reduceat(np.abs(ys), first)
-        floor = np.full(count, np.inf)
-        ok = top > -np.inf
+        peak = np.maximum(-ymin, ymax)
+        trusted = (m <= 1 << 30) & (peak >= 2.0**-400) & (peak <= 2.0**400)
+        floor = np.where(trusted, np.inf, 0.0)
+        ok = trusted & (top > -np.inf)
         floor[ok] = top[ok] - 4.0 * _screen_bound(m[ok], peak[ok], total_abs[ok], t2[ok], nodes.err[ok])
         keep = score >= floor[pair_node]
         node_e, column_e = np.nonzero(varies & live[:, None])
@@ -498,6 +432,7 @@ class _Screen:
         a, b = X[low[j], key_feature[j]], X[high[j], key_feature[j]]
         thr = (a + b) / 2.0
         # a midpoint rounded onto the right value keeps the cut below b
+        feature, threshold = np.full(count, -1), np.zeros(count)
         feature[key_node[j]], threshold[key_node[j]] = key_feature[j], np.where(thr >= b, a, thr)
 
         split = feature >= 0
@@ -702,6 +637,9 @@ def fit(
     at least the number of features, each node searched for a split draws
     that many features from the same seed, in level order.
 
+    The targets must keep ``n * max |y|`` below 2**511, where no sum of
+    squared errors the split search forms can overflow.
+
     ``n_threads`` trees are grown at once (0: one per usable CPU), each in a
     forked worker process; with one, or where fork is unavailable, they are
     grown in this process and no process is started. Results are identical
@@ -718,6 +656,9 @@ def fit(
         raise ValueError(f"y must have shape ({n},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
+    peak = float(np.abs(y).max())
+    if n * peak >= 2.0**511:
+        raise ValueError(f"n * max |y| must be below 2**511, got {n} rows with max |y| {peak!r}")
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(d)]
     else:

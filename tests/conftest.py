@@ -24,8 +24,9 @@ SUBCORPORA = ("bible", "europarl", "biomed")
 
 # HYPOTHESIS_PROFILE=ci runs ten times Hypothesis's default number of
 # examples in every property test that does not set its own, among them the
-# screened split search's exactness test.
-settings.register_profile("ci", max_examples=1000)
+# screened split search's exactness test, and prints a failing example's
+# ``@reproduce_failure`` line, which replays it locally.
+settings.register_profile("ci", max_examples=1000, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

@@ -121,6 +121,29 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([[1.0], [2.0]], [0.0, math.inf], single_tree_config())
 
+    @pytest.mark.parametrize("y", [[1e308, 1e308, -1e308, 0.5], [1e200, 2e200, -1e200, 0.5]], ids=["1e308", "1e200"])
+    def test_targets_whose_squared_errors_could_overflow_rejected(self, y):
+        # unchecked, 1e308 makes a one-leaf model of value inf, and 1e200
+        # NaN sums of squared errors, so that no split is found
+        with pytest.raises(ValueError, match=r"n \* max \|y\| must be below 2\*\*511, got 4 rows"):
+            fit(np.arange(8.0).reshape(4, 2), y, single_tree_config())
+
+    def test_targets_just_below_the_overflow_limit_fit(self):
+        """At max |y| = 0.999 * 2**511 / n the forest is the reference's,
+        predicts finite values and saves bytes that load back to the same
+        bytes."""
+        rng = np.random.default_rng(30)
+        X = np.column_stack([rng.random((40, 2)) < 0.5, rng.integers(0, 5, size=40), rng.normal(size=40)])
+        y = rng.uniform(-1.0, 1.0, size=40)
+        y *= 0.999 * 2.0**511 / 40 / np.abs(y).max()
+        config = ForestConfig(n_trees=3, seed=2)
+        assert_fits_the_reference(X, y, config)
+        model = fit(X, y, config)
+        assert (model.nodes.feature >= 0).any()
+        assert np.isfinite(predict_batch(model, X)).all()
+        saved = model_bytes(model)
+        assert model_bytes(load_model(saved)) == saved
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit([[1.0], [2.0]], [0.0, 1.0, 2.0], single_tree_config())
@@ -348,6 +371,48 @@ class TestSplitOptimality:
         assert doubled.threshold[0] == base.threshold[0]
 
 
+def _best_split(X, y, sample_idx, feats, min_samples_leaf):
+    """Exhaustive variance-reduction search over the sampled features.
+
+    Returns (feature_index, threshold) or None when no valid candidate exists.
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values; the minimizer of summed child SSE wins, ties going to the lower
+    feature index then the lower threshold (feats must be sorted ascending).
+    """
+    m = sample_idx.size
+    k = feats.size
+    ysub = y[sample_idx]
+    Xs = X[np.ix_(sample_idx, feats)]
+    order = np.argsort(Xs, axis=0, kind="stable")
+    xs = np.take_along_axis(Xs, order, axis=0)
+    ys = ysub[order]
+    c1 = np.cumsum(ys, axis=0)[:-1]
+    c2 = np.cumsum(ys * ys, axis=0)[:-1]
+    # Node totals are computed once so identical partitions reached through
+    # different features score identically.
+    t1 = float(np.sum(ysub))
+    t2 = float(np.sum(ysub * ysub))
+    nl = np.arange(1, m, dtype=np.float64)[:, None]
+    nr = float(m) - nl
+    sse = (c2 - c1 * c1 / nl) + ((t2 - c2) - (t1 - c1) * (t1 - c1) / nr)
+    valid = xs[:-1] != xs[1:]
+    if min_samples_leaf > 1:
+        valid &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    sse = np.where(valid, sse, np.inf)
+    best_pos = np.argmin(sse, axis=0)
+    best_sse = sse[best_pos, np.arange(k)]
+    j = int(np.argmin(best_sse))
+    if not math.isfinite(best_sse[j]):
+        return None
+    p = int(best_pos[j])
+    a = float(xs[p, j])
+    b = float(xs[p + 1, j])
+    thr = (a + b) / 2.0
+    if thr >= b:  # midpoint rounded onto the right value; keep the cut below b
+        thr = a
+    return int(feats[j]), thr
+
+
 def reference_tree(X, y, config: ForestConfig, t: int) -> Tree:
     """Tree t as the plain exhaustive search grows it: nodes one at a time,
     depth by depth and left to right within a depth, each searched node
@@ -369,7 +434,7 @@ def reference_tree(X, y, config: ForestConfig, t: int) -> Tree:
             searched = idx.size >= config.min_samples_split and (config.max_depth is None or depth < config.max_depth)
             if searched and ymin != ymax:
                 feats = np.arange(d) if k >= d else np.sort(rng.choice(d, size=k, replace=False))
-                split = forest_module._best_split(X, y, idx, feats, config.min_samples_leaf)
+                split = _best_split(X, y, idx, feats, config.min_samples_leaf)
             if split is None:
                 node[3] = ymin if ymin == ymax else float(ysub.mean())
                 continue
@@ -405,8 +470,8 @@ def split_problems(draw):
     like n-gram indicators, so that columns often cut a node alike; plus
     columns of adjacent floats, many-valued, duplicated and constant columns. Targets follow the token
     on a 1/40 grid (near-ties), around 1e6 (large offset), with both signs
-    over several magnitudes, or scaled by 2**-420 or 2**420, where the screen
-    hands every node to the full search. Up to 300 rows, so that a depth
+    over several magnitudes, or scaled by 2**-420 or 2**420, where every
+    sampled feature that can cut a node is verified. Up to 300 rows, so that a depth
     holds nodes on both sides of ``_GATHER_ROWS``; half the configs search
     every feature at every node, the rest sample some."""
     n = draw(st.integers(2, 300))
@@ -484,9 +549,9 @@ class TestScreenedSearch:
     @given(split_problems(), st.one_of(st.none(), st.integers(0, 8)))
     def test_same_trees_as_the_full_search(self, problem, screened_boundaries):
         X, y, config = problem
-        # a cap on the indicator matrix leaves the features past it to the exact search
-        cap = forest_module._SCREEN_MAX_BYTES if screened_boundaries is None else 8 * len(y) * screened_boundaries
-        with mock.patch.object(forest_module, "_SCREEN_MAX_BYTES", cap):
+        # features with more boundaries than the screen takes go to the exact search
+        most = forest_module._SCREEN_MAX_BOUNDARIES if screened_boundaries is None else screened_boundaries
+        with mock.patch.object(forest_module, "_SCREEN_MAX_BOUNDARIES", most):
             assert_fits_the_reference(X, y, config)
 
     def test_same_trees_on_thousands_of_rows(self):
@@ -495,62 +560,62 @@ class TestScreenedSearch:
         X, y = thousands_of_rows()
         assert_fits_the_reference(X, y, ForestConfig(n_trees=2, seed=3))
 
-    @pytest.mark.parametrize("scale", [2.0**-420, 2.0**420], ids=["tiny", "huge"])
-    def test_targets_outside_the_trusted_range_verify_every_sampled_feature(self, scale):
-        """The screen's bound is trusted only for max |y| in [2**-400,
-        2**400]. Sampling 3 of 5 features, each node's ``_best_split`` gets
-        exactly that node's draw: the depth's searched nodes draw in order,
-        and the generator makes no other draw."""
+    @staticmethod
+    def assert_every_node_verifies_the_features_of_its_draw_that_cut_it(scale: float, k: int) -> None:
+        """Fitting targets scaled by ``scale`` with k of 5 features per
+        split, each searched node's (node, feature) pairs that reach
+        ``_verify`` are exactly its draw's features that take two values on
+        it; the depth's searched nodes draw in order, the generator makes no
+        other draw, and the trees are the reference's."""
         rng = np.random.default_rng(8)
         X = np.column_stack([rng.random((60, 3)) < 0.5, rng.integers(0, 4, size=60), rng.normal(size=60)])
         y = np.round(rng.random(60) * 40) / 40 * scale
-        calls, checked = [], []
-        real_split_depth, real_best_split = forest_module._Screen.split_depth, forest_module._best_split
+        config = ForestConfig(n_trees=2, max_features_per_split=k, seed=1)
+        verified, checked = [], []
+        real_split_depth, real_verify = forest_module._Screen.split_depth, forest_module._verify
+
+        def verify(rank, yrows, rows, first, m, t1, t2, feat, *rest):
+            for a, size, f in zip(first.tolist(), m.tolist(), feat.tolist()):
+                verified.append((rows[a : a + size].tobytes(), f))
+            return real_verify(rank, yrows, rows, first, m, t1, t2, feat, *rest)
 
         def split_depth(screen, nodes, config, tree_rng):
             replay = copy.deepcopy(tree_rng)
-            before = len(calls)
+            before = len(verified)
             result = real_split_depth(screen, nodes, config, tree_rng)
-            draws = {}
+            expected = {}
             for i in range(nodes.start.size - 1):
                 rows = nodes.rows[nodes.start[i] : nodes.start[i + 1]]
                 if rows.size >= config.min_samples_split and np.ptp(y[rows]) > 0:
-                    draws[rows.tobytes()] = np.sort(replay.choice(5, size=3, replace=False))
+                    assert not 2.0**-400 <= np.abs(y[rows]).max() <= 2.0**400
+                    draw = np.arange(5) if k >= 5 else np.sort(replay.choice(5, size=k, replace=False))
+                    cut = draw[np.ptp(X[np.ix_(rows, draw)], axis=0) > 0]
+                    if cut.size:
+                        expected[rows.tobytes()] = cut.tolist()
             assert replay.bit_generator.state == tree_rng.bit_generator.state
-            for rows, verified in calls[before:]:
-                assert np.array_equal(verified, draws[rows.tobytes()])
-                checked.append(rows)
+            got = {}
+            for rows, f in verified[before:]:
+                got.setdefault(rows, []).append(f)
+            assert got == expected
+            checked.extend(got)
             return result
 
-        def best_split(X, y, idx, feats, min_samples_leaf):
-            calls.append((idx, feats))
-            return real_best_split(X, y, idx, feats, min_samples_leaf)
-
         with mock.patch.object(forest_module._Screen, "split_depth", split_depth), \
-                mock.patch.object(forest_module, "_best_split", best_split), \
-                mock.patch.object(forest_module, "_verify", side_effect=AssertionError("screened")):
-            fit(X, y, ForestConfig(n_trees=2, max_features_per_split=3, seed=1))
-        assert len(checked) == len(calls) > 0
+                mock.patch.object(forest_module, "_verify", verify):
+            assert_fits_the_reference(X, y, config)
+        assert checked
+
+    @pytest.mark.parametrize("scale", [2.0**-420, 2.0**420], ids=["tiny", "huge"])
+    def test_targets_outside_the_trusted_range_verify_every_sampled_feature(self, scale):
+        """The screen's bound is trusted only for max |y| in [2**-400,
+        2**400]. Outside it, sampling 3 of 5 features, every feature of a
+        node's draw that can cut it is verified, and no other."""
+        self.assert_every_node_verifies_the_features_of_its_draw_that_cut_it(scale, 3)
 
     @pytest.mark.parametrize("scale", [2.0**-420, 2.0**420], ids=["tiny", "huge"])
     def test_targets_outside_the_trusted_range_verify_every_feature_at_every_depth(self, scale):
-        # searching every feature, the trees grow a depth at a time
-        rng = np.random.default_rng(8)
-        X = np.column_stack([rng.random((60, 3)) < 0.5, rng.integers(0, 4, size=60), rng.normal(size=60)])
-        y = np.round(rng.random(60) * 40) / 40 * scale
-        calls = []
-        real_best_split = forest_module._best_split
-
-        def best_split(X, y, idx, feats, min_samples_leaf):
-            calls.append(feats)
-            return real_best_split(X, y, idx, feats, min_samples_leaf)
-
-        with mock.patch.object(forest_module, "_best_split", best_split), \
-                mock.patch.object(forest_module, "_verify", side_effect=AssertionError("screened")):
-            fit(X, y, ForestConfig(n_trees=2, seed=1))
-        assert calls
-        for verified in calls:
-            assert np.array_equal(verified, np.arange(X.shape[1]))
+        # searching every feature, every feature that can cut a node is verified
+        self.assert_every_node_verifies_the_features_of_its_draw_that_cut_it(scale, 750)
 
     @settings(deadline=None)
     @given(st.integers(8, 300), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
@@ -662,8 +727,7 @@ class TestScreenedSearch:
             return columns, children
 
         with mock.patch.object(forest_module, "_verify", verify), \
-                mock.patch.object(forest_module._Screen, "split_depth", split_depth), \
-                mock.patch.object(forest_module, "_best_split", side_effect=AssertionError("searched")):
+                mock.patch.object(forest_module._Screen, "split_depth", split_depth):
             fit(X, y, ForestConfig(n_trees=3, max_features_per_split=k, seed=seed))
         assert verified
         assert all(np.ptp(X[rows], axis=0).any() for rows in verified)
@@ -683,8 +747,7 @@ class TestScreenedSearch:
         nodes = forest_module._Depth(0, 0, idx, np.array([0, 2]), act, sums, np.array([0, act.size]), np.array([err]))
         for seed in range(4):
             rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-            with mock.patch.object(forest_module, "_best_split", side_effect=AssertionError("searched")), \
-                    mock.patch.object(forest_module, "_verify", side_effect=AssertionError("searched")):
+            with mock.patch.object(forest_module, "_verify", side_effect=AssertionError("searched")):
                 (feature, *_, value), children = screen.split_depth(
                     nodes, ForestConfig(max_features_per_split=1), rng
                 )
@@ -702,11 +765,45 @@ class TestScreenedSearch:
         idx = np.array([20, 21])
         act, sums, err = screen.root(idx)
         nodes = forest_module._Depth(0, 0, idx, np.array([0, 2]), act, sums, np.array([0, act.size]), np.array([err]))
-        with mock.patch.object(forest_module, "_best_split", side_effect=AssertionError("searched")), \
-                mock.patch.object(forest_module, "_verify", side_effect=AssertionError("searched")):
+        with mock.patch.object(forest_module, "_verify", side_effect=AssertionError("searched")):
             (feature, *_), children = screen.split_depth(nodes, ForestConfig(), np.random.default_rng(0))
         assert feature.tolist() == [-1]
         assert children.start.size == 1
+
+    @settings(deadline=None)
+    @given(st.integers(18, 600), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_rank_and_indicator_follow_each_columns_distinct_values(self, n, fortran, seed):
+        """``rank[f]`` is each value's index among column f's distinct
+        values, as ``np.unique`` gives it, and ``ind[:, b]`` is ``x <= v``
+        for the j-th distinct value v of ``feature[b]``, where b is that
+        feature's j-th boundary. Columns: signed zeros, adjacent floats, a
+        constant, and 1, 16 and 17 boundaries; the last is exact, the
+        constant neither screened nor exact."""
+        rng = np.random.default_rng(seed)
+
+        def column(values):
+            values = np.asarray(values, dtype=float)
+            return rng.permutation(np.concatenate([values, rng.choice(values, size=n - values.size)]))
+
+        X = np.column_stack([
+            column([-0.0, 0.0, 1.0]),
+            column(1.0 + np.arange(4) * 2.0**-52),
+            np.full(n, 3.0),
+            column([-1.5, 2.0]),
+            column(rng.normal(size=17)),
+            column(rng.normal(size=18)),
+        ])
+        if fortran:
+            X = np.asfortranarray(X)
+        screen = forest_module._Screen(X, rng.random(n), 1)
+        for f in range(X.shape[1]):
+            assert np.array_equal(screen.rank[f], np.unique(X[:, f], return_inverse=True)[1])
+        assert screen.exact.tolist() == [5]
+        assert screen.feature.tolist() == [0] + [1] * 3 + [3] + [4] * 16
+        assert screen.ind.dtype == bool
+        first = np.searchsorted(screen.feature, screen.feature)
+        for b, f in enumerate(screen.feature.tolist()):
+            assert np.array_equal(screen.ind[:, b], X[:, f] <= np.unique(X[:, f])[b - first[b]])
 
     def test_building_the_screen_holds_at_most_one_transposed_copy_of_x(self):
         """Beyond what it keeps, building the screen needs at most one
@@ -724,8 +821,9 @@ class TestScreenedSearch:
         assert peak - held <= 1.25 * X.nbytes
 
     def test_building_the_screen_holds_no_sorted_copy_beside_the_indicator_matrix(self):
-        """The sorted transposed copy of X is freed before the indicator
-        matrix, which is about as large, is allocated."""
+        """The sorted transposed copy of X is freed before ``rank`` and the
+        one-byte indicator matrix are allocated: the build peaks at 1.35
+        times X's bytes and holds 0.75 times them, at most."""
         rng = np.random.default_rng(24)
         X = np.column_stack([rng.random((4000, 295)) < 0.05, rng.normal(size=(4000, 5))]).astype(float)
         y = rng.random(4000)
@@ -736,7 +834,8 @@ class TestScreenedSearch:
         finally:
             tracemalloc.stop()
         assert screen.exact.size == 5
-        assert peak - held <= 0.5 * X.nbytes
+        assert peak <= 1.35 * X.nbytes
+        assert held <= 0.75 * X.nbytes
 
     @pytest.mark.parametrize(
         "data,config,sha",
