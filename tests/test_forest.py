@@ -778,7 +778,10 @@ class TestScreenedSearch:
         for the j-th distinct value v of ``feature[b]``, where b is that
         feature's j-th boundary. Columns: signed zeros, adjacent floats, a
         constant, and 1, 16 and 17 boundaries; the last is exact, the
-        constant neither screened nor exact."""
+        constants neither screened nor exact. Columns of at most two values
+        and the others are ranked apart, 16 columns at a time, so the whole
+        matrix is taken twice over, and a matrix with none of the first kind
+        and one with none of the second are checked too."""
         rng = np.random.default_rng(seed)
 
         def column(values):
@@ -792,24 +795,38 @@ class TestScreenedSearch:
             column([-1.5, 2.0]),
             column(rng.normal(size=17)),
             column(rng.normal(size=18)),
+            column([-0.0, 0.0]),
+            column([-0.0, 1.0]),
+            column([-1.0, np.nextafter(-1.0, 0.0)]),
+            column([0.0, 1e-300]),
         ])
-        if fortran:
-            X = np.asfortranarray(X)
-        screen = forest_module._Screen(X, rng.random(n), 1)
-        for f in range(X.shape[1]):
-            assert np.array_equal(screen.rank[f], np.unique(X[:, f], return_inverse=True)[1])
-        assert screen.exact.tolist() == [5]
-        assert screen.feature.tolist() == [0] + [1] * 3 + [3] + [4] * 16
-        assert screen.ind.dtype == bool
-        first = np.searchsorted(screen.feature, screen.feature)
-        for b, f in enumerate(screen.feature.tolist()):
-            assert np.array_equal(screen.ind[:, b], X[:, f] <= np.unique(X[:, f])[b - first[b]])
+        X = np.column_stack([X, X])  # 20 columns: two blocks of the comparison
+        every = [0] + [1] * 3 + [3] + [4] * 16 + [7, 8, 9]
+        for cols, exact, feature in [
+            (range(20), [5, 15], every + [f + 10 for f in every]),
+            ([1, 4, 5], [2], [0] * 3 + [1] * 16),
+            ([0, 2, 3, 6, 7, 8, 9], [], [0, 2, 4, 5, 6]),
+        ]:
+            part = np.asfortranarray(X[:, cols]) if fortran else np.ascontiguousarray(X[:, cols])
+            screen = forest_module._Screen(part, rng.random(n), 1)
+            for f in range(part.shape[1]):
+                assert np.array_equal(screen.rank[f], np.unique(part[:, f], return_inverse=True)[1])
+            assert screen.exact.tolist() == exact
+            assert screen.feature.tolist() == feature
+            assert screen.ind.dtype == bool
+            first = np.searchsorted(screen.feature, screen.feature)
+            for b, f in enumerate(screen.feature.tolist()):
+                assert np.array_equal(screen.ind[:, b], part[:, f] <= np.unique(part[:, f])[b - first[b]])
 
-    def test_building_the_screen_holds_at_most_one_transposed_copy_of_x(self):
-        """Beyond what it keeps, building the screen needs at most one
-        transposed copy of X (and its boundary flags)."""
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_building_the_screen_copies_less_than_an_eighth_of_x(self, order):
+        """Only the columns of more than two values are sorted, and the
+        others are compared a block of columns at a time: beyond the ranks
+        and the one-byte indicator matrix it keeps, the build needs less
+        than one byte per cell of X, and it peaks at three quarters of X's
+        bytes."""
         rng = np.random.default_rng(24)
-        X = np.column_stack([rng.random((4000, 295)) < 0.05, rng.normal(size=(4000, 5))]).astype(float)
+        X = np.column_stack([rng.random((4000, 295)) < 0.05, rng.normal(size=(4000, 5))]).astype(float, order=order)
         y = rng.random(4000)
         tracemalloc.start()
         try:
@@ -818,24 +835,8 @@ class TestScreenedSearch:
         finally:
             tracemalloc.stop()
         assert screen.exact.size == 5
-        assert peak - held <= 1.25 * X.nbytes
-
-    def test_building_the_screen_holds_no_sorted_copy_beside_the_indicator_matrix(self):
-        """The sorted transposed copy of X is freed before ``rank`` and the
-        one-byte indicator matrix are allocated: the build peaks at 1.35
-        times X's bytes and holds 0.75 times them, at most."""
-        rng = np.random.default_rng(24)
-        X = np.column_stack([rng.random((4000, 295)) < 0.05, rng.normal(size=(4000, 5))]).astype(float)
-        y = rng.random(4000)
-        tracemalloc.start()
-        try:
-            screen = forest_module._Screen(X, y, 1)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert screen.exact.size == 5
-        assert peak <= 1.35 * X.nbytes
-        assert held <= 0.75 * X.nbytes
+        assert peak <= 0.75 * X.nbytes
+        assert peak - held < X.nbytes / 8
 
     @pytest.mark.parametrize(
         "data,config,sha",
