@@ -87,7 +87,12 @@ def parse_dataset(source: IO[bytes] | bytes, has_gold: bool) -> list[Instance]:
     must be empty on every row. Malformed rows, out-of-range complexity values
     and duplicate ids raise DataError naming the offending line or id.
     """
-    lines = decode_utf8(source, "input is").splitlines()
+    # a row ends at LF or CRLF only: str.splitlines would also cut a
+    # sentence at U+2028, a form feed and the like
+    lines = decode_utf8(source, "input is").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last row
+    lines = [line.removesuffix("\r") for line in lines]
     if not lines:
         raise DataError("empty input: missing header row")
     header = lines[0].split("\t")

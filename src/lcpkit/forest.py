@@ -185,27 +185,13 @@ def _ranges(first: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 
 def _totals(ys: np.ndarray, start: np.ndarray, which: np.ndarray):
-    """``np.sum(v)`` and ``np.sum(v * v)``, bit for bit, for the targets
+    """``np.sum(v)`` and ``np.sum(v * v)`` for the targets
     ``v = ys[start[i]:start[i + 1]]`` of each node i in ``which``; 0.0 for
-    the others.
-
-    numpy sums a row of a 2-D array as it sums the same values alone, so the
-    nodes of one length are summed as the rows of one array. Padding shorter
-    nodes with zeros would change the bits: numpy's pairwise sum keeps 8
-    partial sums.
-    """
-    m = np.diff(start)
-    nodes = np.flatnonzero(which)
-    nodes = nodes[np.argsort(m[nodes], kind="stable")]
-    flat = ys[_ranges(start[nodes], m[nodes])]
-    t1, t2 = np.zeros(m.size), np.zeros(m.size)
-    at = 0
-    lengths, first, counts = np.unique(m[nodes], return_index=True, return_counts=True)
-    for length, i, count in zip(lengths.tolist(), first.tolist(), counts.tolist()):
-        block = flat[at : at + length * count].reshape(count, length)
-        at += length * count
-        t1[nodes[i : i + count]] = block.sum(axis=1)
-        t2[nodes[i : i + count]] = (block * block).sum(axis=1)
+    the others."""
+    t1, t2 = np.zeros(start.size - 1), np.zeros(start.size - 1)
+    for i in np.flatnonzero(which).tolist():
+        v = ys[start[i] : start[i + 1]]
+        t1[i], t2[i] = v.sum(), (v * v).sum()
     return t1, t2
 
 
@@ -298,10 +284,11 @@ class _Screen:
     carries ``(act, sums, err)``: the boundaries that cut it (a boundary
     that cuts no row off a node cuts none off its children either), their
     left counts (exact) and left target sums (each within ``err`` of its
-    exact value), summed over the node's rows by ``np.einsum`` and
-    ``np.bincount``, which make no BLAS call: a fit worker then runs on its
-    own thread only. A node that no boundary cuts and on which no ``exact``
-    feature takes two values has no feature to split on.
+    exact value): ``np.bincount`` over a gather of a depth's small nodes'
+    rows, or ``np.einsum`` over a node's distinct rows weighted by their
+    counts (``_sums``). Neither makes a BLAS call, so a fit worker runs on
+    its own thread only. A node that no boundary cuts and on which no
+    ``exact`` feature takes two values has no feature to split on.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
@@ -343,20 +330,18 @@ class _Screen:
         self.ones_y = np.column_stack([np.ones(n), y])
 
     def _sums(self, idx: np.ndarray, act: np.ndarray) -> np.ndarray:
-        """Left counts and target sums of boundaries ``act`` over rows ``idx``.
-
-        A large sample is summed over its distinct rows, each weighted by
-        how often it occurs, a block of rows at a time; either way each sum
-        has at most ``idx.size`` nonzero terms, each rounded at most once.
+        """Left counts and target sums of boundaries ``act`` over rows
+        ``idx``, summed over its distinct rows, each weighted by how often it
+        occurs, 256 rows at a time: each sum has at most ``idx.size`` nonzero
+        terms, each rounded at most once.
         """
-        if idx.size * 8 <= self.ind.shape[0]:
-            return np.einsum("ij,ik->kj", self.ind.take(idx, axis=0).take(act, axis=1), self.ones_y[idx])
         rows, count = np.unique(idx, return_counts=True)
-        sums = np.zeros((2, self.ind.shape[1]))
+        sums = np.zeros((2, act.size))
         for at in range(0, rows.size, 256):
             block = rows[at : at + 256]
-            sums += np.einsum("ij,ik->kj", self.ind.take(block, axis=0), self.ones_y[block] * count[at : at + 256, None])
-        return sums[:, act]
+            weighted = self.ones_y[block] * count[at : at + 256, None]
+            sums += np.einsum("ij,ik->kj", self.ind.take(block, axis=0).take(act, axis=1), weighted)
+        return sums
 
     def root(self, idx: np.ndarray):
         """The screen state of a root over rows ``idx``."""
@@ -466,7 +451,7 @@ class _Screen:
         are the parent's minus the smaller's, and so carry the errors of
         both."""
         X, y = self.X, self.y
-        m, first = np.diff(nodes.start), nodes.start[:-1]
+        m = np.diff(nodes.start)
         node = np.repeat(np.arange(m.size), m)
         on = split[node]
         rows, node = nodes.rows[on], node[on]

@@ -83,6 +83,21 @@ class TestParse:
         crlf = tiny_corpus_bytes.replace(b"\n", b"\r\n")
         assert len(parse_dataset(crlf, has_gold=True)) == 6
 
+    @pytest.mark.parametrize("mark", ["\r", "\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_rows_end_only_at_lf_or_crlf(self, mark, end):
+        """A sentence may hold any other line break str.splitlines knows,
+        and a later error names the line counted by LF."""
+        sentence = f"a cat{mark}sat"
+        rows = [("x1", "bible", sentence, "cat", "0.5"), ("x2", "bible", "a dog sat", "dog", "0.25")]
+        data = dataset_tsv(rows).decode().replace("\n", end).encode()
+        parsed = parse_dataset(data, has_gold=True)
+        assert [i.sentence for i in parsed] == [sentence, "a dog sat"]
+        assert [i.gold for i in parsed] == [0.5, 0.25]
+        bad = data + f"x3{end}".encode()
+        with pytest.raises(DataError, match=r"^line 4: expected 5 columns, found 1$"):
+            parse_dataset(bad, has_gold=True)
+
     def test_token_not_in_sentence_warns_but_parses(self, caplog):
         data = dataset_tsv([("w1", "bible", "a cat sat", "Dog", "0.1")])
         with caplog.at_level("WARNING"):

@@ -624,10 +624,10 @@ class TestScreenedSearch:
         its ``err`` of the exact sums, for a root over a bootstrap-like sample
         (rows repeat) and, through the depth step, both children of a random
         subset of its boundaries: the smaller from its rows, the larger as
-        the parent minus the smaller. ``gather`` picks which way the root's
-        sums are formed. A ``wide`` root's smaller child has more than
-        ``_GATHER_ROWS`` rows and at most n / 8, so its own einsum over its
-        rows forms its sums; other small children's are gathered."""
+        the parent minus the smaller. ``gather`` picks a root sample of at
+        most n / 8 rows, or of more. A ``wide`` root's smaller child has more
+        than ``_GATHER_ROWS`` rows and at most n / 8, so ``_sums`` forms its
+        sums over its distinct rows; other small children's are gathered."""
         rng = np.random.default_rng(seed)
         if wide:
             n, gather = 16 * (forest_module._GATHER_ROWS + 1 + n), True
@@ -638,7 +638,8 @@ class TestScreenedSearch:
         goes_left = rng.random(n) < rng.uniform(0.1, 0.9)
         screen = forest_module._Screen(np.column_stack([X, goes_left]), y, 1)
         if wide:
-            # n / 16 rows from each side
+            # n / 16 rows from each side, so the smaller child is summed by
+            # ``_sums`` rather than gathered
             idx = rng.permutation(np.concatenate([rng.choice(np.flatnonzero(goes_left == side), n // 16) for side in (0, 1)]))
         else:
             idx = rng.integers(0, n, size=rng.integers(1, n // 8 + 1) if gather else rng.integers(n // 8 + 1, n + 1))
@@ -889,9 +890,8 @@ class TestScreenedSearch:
 
     def test_node_totals_match_numpy_sums_bit_for_bit(self):
         """``_totals`` gives each node's ``np.sum(v)`` and ``np.sum(v * v)``
-        bits, for every node length up to 300 and some longer: nodes of one
-        length are summed as the rows of one 2-D array, so numpy must sum a
-        row as it sums the same values alone."""
+        bits, for every node length up to 300 and some longer, and 0.0 for
+        the nodes ``which`` leaves out."""
         rng = np.random.default_rng(27)
         lengths = [*range(1, 301), 511, 512, 513, 1000, 1024, 4097, 6130]
         sizes = np.repeat(lengths, rng.integers(1, 5, size=len(lengths)))
