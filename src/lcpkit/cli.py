@@ -50,7 +50,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .corpus import band_of, parse_dataset, split_train_dev
+from .corpus import band_of, parse_dataset, split_rows, split_train_dev
 from .errors import DataError, LcpkitError, ResourceError, decode_utf8
 from .evaluation import AblationRow, MetricsReport, evaluate, format_metric, render_report
 from .features import PRESETS, FeatureConfig, FeatureSchema, LexiconTagger, check_resources
@@ -390,7 +390,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 
 
 def _parse_predictions(data: bytes, path: str) -> dict[str, float]:
-    lines = decode_utf8(data, f"predictions file {path}:").splitlines()
+    lines = split_rows(decode_utf8(data, f"predictions file {path}:"))
     if not lines:
         raise DataError(f"predictions file {path}: empty")
     header = lines[0].split("\t")

@@ -80,6 +80,15 @@ class DatasetSplit:
     dev: tuple[Instance, ...]
 
 
+def split_rows(text: str) -> list[str]:
+    """The rows of a TSV text. A row ends at LF or CRLF only: str.splitlines
+    would also cut a cell at U+2028, a form feed and the like."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last row
+    return [line.removesuffix("\r") for line in lines]
+
+
 def parse_dataset(source: IO[bytes] | bytes, has_gold: bool) -> list[Instance]:
     """Parse a dataset TSV into instances, preserving file order.
 
@@ -87,12 +96,7 @@ def parse_dataset(source: IO[bytes] | bytes, has_gold: bool) -> list[Instance]:
     must be empty on every row. Malformed rows, out-of-range complexity values
     and duplicate ids raise DataError naming the offending line or id.
     """
-    # a row ends at LF or CRLF only: str.splitlines would also cut a
-    # sentence at U+2028, a form feed and the like
-    lines = decode_utf8(source, "input is").split("\n")
-    if not lines[-1]:
-        lines.pop()  # the newline that ends the last row
-    lines = [line.removesuffix("\r") for line in lines]
+    lines = split_rows(decode_utf8(source, "input is"))
     if not lines:
         raise DataError("empty input: missing header row")
     header = lines[0].split("\t")

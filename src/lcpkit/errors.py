@@ -1,11 +1,13 @@
-"""Exception types shared across the toolkit, and the input decoding every
-parser shares.
+"""Exception types shared across the toolkit, the input decoding every
+parser shares, and the type check both run configs share.
 
 The CLI maps these onto exit codes through one table, ``cli._EXIT_CODES``.
 """
 
 from __future__ import annotations
 
+import numbers
+from dataclasses import fields
 from typing import IO
 
 
@@ -29,3 +31,18 @@ def decode_utf8(source: IO[bytes] | bytes, prefix: str) -> str:
         return bytes(data).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{prefix} not valid UTF-8: {exc}") from None
+
+
+def check_config_types(config) -> None:
+    """Raise ValueError unless each ``bool`` field of the frozen dataclass
+    ``config`` holds a bool and each ``int`` (or ``int | None``) field a
+    ``numbers.Integral`` other than a bool, stored back as a plain int so
+    that the model and schema files can write it."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"config {f.name} must be true or false, got {value!r}")
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"config {f.name} must be an integer, got {value!r}")
+            object.__setattr__(config, f.name, int(value))

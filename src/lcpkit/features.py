@@ -23,7 +23,7 @@ from typing import IO, Callable, Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from .corpus import Instance
-from .errors import DataError, ResourceError, decode_utf8
+from .errors import DataError, ResourceError, check_config_types, decode_utf8
 from .lexicons import (
     BINARY, CONTINUOUS, Lexicon, LexiconRegistry, LexiconSpec, lookup, merge_average, merge_binary_union,
 )
@@ -135,6 +135,7 @@ class FeatureConfig:
         unknown = self.enabled - set(FEATURE_FAMILIES)
         if unknown:
             raise ValueError(f"unknown feature families: {sorted(unknown)}")
+        check_config_types(self)
         if self.trigram_min_count < 1:
             raise ValueError("trigram_min_count must be >= 1")
         if self.trigram_max_vocab < 1:
@@ -217,9 +218,6 @@ class FeatureSchema:
             }
             config = {f.name: doc["config"][f.name] for f in fields(FeatureConfig)}
             cfg = FeatureConfig(**config | {"enabled": _strings(config["enabled"])})
-            for f in fields(cfg):  # JSON true, 2.5 and NaN load as bool and float
-                if f.type == "int" and type(getattr(cfg, f.name)) is not int:
-                    raise TypeError(f"config {f.name} must be an integer, got {getattr(cfg, f.name)!r}")
             return cls(config=cfg, **fitted)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"schema file: bad content: {exc}") from None

@@ -35,7 +35,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError, ResourceError, decode_utf8
+from .errors import DataError, ResourceError, check_config_types, decode_utf8
 
 _MAGIC = "LCPMODEL"
 _VERSION = 1
@@ -48,7 +48,12 @@ _SEED_MASK = (1 << 64) - 1
 #: share and 120-tree model, 2**13, 2**14 and 2**15 walked in a median 310,
 #: 258 and 255 ms (3 runs of 5 rounds, 2-core VM).
 _PAIRS_PER_GROUP = 1 << 14
-#: Levels walked between two checks for pairs that have reached a leaf.
+#: Levels walked between two checks for pairs that have reached a leaf. On
+#: the benchmark's 4,790-row batch share and 120-tree model, 1, 4, 8 and 16
+#: levels walked in 243-287, 171-187, 156-220 and 192-240 ms, and single
+#: rows in a median 595-623, 362-411, 339-569 and 346-430 us (3 rounds,
+#: 2-core VM), with identical predictions: only a check at every level
+#: costs more than the rounds' spread.
 _LEVELS_PER_CHECK = 8
 
 
@@ -68,6 +73,7 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_config_types(self)
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.max_features_per_split < 1:
@@ -162,7 +168,12 @@ class RandomForest:
 
 
 #: Features with at most this many boundaries between distinct values are
-#: screened; features with more always go to the exact search.
+#: screened; features with more always go to the exact search. Four trees
+#: of the benchmark's seed-1 training matrix took a median 1.67, 1.12, 1.14
+#: and 1.08 s at limits of 1, 4, 16 and 64 with 750 features per split, and
+#: 1.33, 1.17, 1.09 and 1.03 s with 100 (4 rounds, 1 worker, 2-core VM),
+#: every model byte-equal. 64 screens 808 boundaries where 16 screens 738,
+#: a gain within the rounds' spread.
 _SCREEN_MAX_BOUNDARIES = 16
 #: Children of at most this many rows get their screen sums from one
 #: gather over all of a depth's nodes; a larger child gets its own pass, so
@@ -273,10 +284,10 @@ class _Screen:
     ``rank[f, i]`` is the rank of ``X[i, f]`` among feature f's distinct
     values: the number of them below it. A column of at most two distinct
     values (677 to 681 of the 714 ``lcp_rit`` columns) ranks by one
-    comparison with its minimum; only the others are sorted. On the
-    benchmark's 6,130 x 714 seed-1 training matrix the build takes 25 to
-    30 ms and peaks at 13.2 MiB traced, 0.4 MiB above what it keeps (2-core
-    VM).
+    comparison with its minimum, every other column by ``np.searchsorted``
+    into its ``np.unique`` values. On the benchmark's 6,130 x 714 seed-1
+    training matrix the build takes 25 to 33 ms and peaks at 13.1 MiB
+    traced, 0.3 MiB above what it keeps (2-core VM).
 
     ``ind[:, b]`` is True where ``X[:, feature[b]] <= value`` for boundary
     b, one boundary below each distinct value but the largest of every
@@ -307,16 +318,11 @@ class _Screen:
             block, lo, hi = xt[part], low[part, None], high[part, None]
             np.greater(block, lo, out=self.rank[part])
             two[part] = ((block == lo) | (block == hi)).all(axis=1)
-        # only the other columns are sorted, to find their distinct values
-        many = np.flatnonzero(~two)
-        xs = xt[many]
-        xs.sort(axis=1)
-        new = xs[:, 1:] != xs[:, :-1]
-        width[many] = new.sum(axis=1)
-        below = xs[:, :-1][new]  # their distinct values but the largest, column by column
-        del xs, new
-        for f, end, w in zip(many.tolist(), np.cumsum(width[many]).tolist(), width[many].tolist()):
-            self.rank[f] = np.searchsorted(below[end - w : end], xt[f])
+        # every other column ranks among its np.unique values
+        for f in np.flatnonzero(~two).tolist():
+            values = np.unique(xt[f])
+            self.rank[f] = np.searchsorted(values, xt[f])
+            width[f] = values.size - 1
         cols = np.flatnonzero((width >= 1) & (width <= _SCREEN_MAX_BOUNDARIES))
         # constant features never split, so they are neither screened nor exact
         self.exact = np.flatnonzero(width > _SCREEN_MAX_BOUNDARIES)

@@ -653,6 +653,26 @@ class TestEvaluate:
         assert code == 2
         assert f"predictions file {pred} line 3: non-finite prediction" in capsys.readouterr().err
 
+    def test_reads_the_ids_predict_wrote(self, workspace, capsys):
+        """An id may hold the characters that str.splitlines also takes for
+        line breaks: predict writes it as it is, and evaluate reads it back
+        whole, one row per LF."""
+        breaks = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        ids = [f"r{c}x" for c in breaks] + [f"all{breaks}"]
+        rows = workspace["train"].read_bytes().decode().split("\n")[1 : len(ids) + 1]
+        rows = [ident + row[row.index("\t") :] for ident, row in zip(ids, rows)]
+        header = "id\tcorpus\tsentence\ttoken\tcomplexity\n"
+        gold, unlabeled = workspace["tmp"] / "gold.tsv", workspace["tmp"] / "input.tsv"
+        gold.write_bytes((header + "".join(f"{row}\n" for row in rows)).encode())
+        unlabeled.write_bytes((header + "".join(f"{row[: row.rindex(chr(9))]}\t\n" for row in rows)).encode())
+        model, pred = workspace["tmp"] / "m.lcpmodel", workspace["tmp"] / "pred.tsv"
+        assert run("train", "--config", workspace["config"], "--features", "length,syllables",
+                   "--model", model, "--quiet") == 0
+        assert run("predict", "--config", workspace["config"], "--model", model,
+                   "--input", unlabeled, "--output", pred, "--quiet") == 0
+        assert run("evaluate", "--pred", pred, "--gold", gold) == 0, capsys.readouterr().err
+        assert list(_parse_predictions(pred.read_bytes(), "pred.tsv")) == ids
+
     def test_gold_without_labels_is_data_error(self, workspace, capsys):
         pred = workspace["tmp"] / "pred.tsv"
         pred.write_text("id\tprediction\nt0000\t0.5\n")

@@ -115,6 +115,34 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.zeros((3, 0)), np.zeros(3), single_tree_config())
 
+    @pytest.mark.parametrize("config,field,value", [
+        (ForestConfig, "n_trees", True),
+        (ForestConfig, "n_trees", 2.0),
+        (ForestConfig, "max_features_per_split", True),
+        (ForestConfig, "min_samples_leaf", np.float64(1.0)),
+        (ForestConfig, "seed", True),
+        (ForestConfig, "max_depth", 2.5),
+        (ForestConfig, "max_depth", False),
+        (ForestConfig, "bootstrap", "false"),
+        (ForestConfig, "bootstrap", 1),
+        (FeatureConfig, "trigram_min_count", True),
+        (FeatureConfig, "trigram_min_count", math.nan),
+        (FeatureConfig, "trigram_max_vocab", 2.5),
+    ])
+    def test_config_values_the_saved_files_cannot_hold_rejected(self, config, field, value):
+        """An integer field takes an integer but no bool, max_depth also
+        None, and bootstrap only a bool: anything else would fit but not
+        save, or not load back, or not fit at all."""
+        enabled = {"enabled": {"length"}} if config is FeatureConfig else {}
+        with pytest.raises(ValueError, match=f"^config {field} must be"):
+            config(**enabled, **{field: value})
+
+    def test_config_integers_may_be_any_integral(self):
+        cfg = ForestConfig(n_trees=np.int64(2), max_depth=np.uint8(3), seed=np.int32(4))
+        assert [type(v) for v in (cfg.n_trees, cfg.max_depth, cfg.seed)] == [int, int, int]
+        assert cfg == ForestConfig(n_trees=2, max_depth=3, seed=4)
+        assert type(FeatureConfig(enabled={"length"}, trigram_min_count=np.int64(3)).trigram_min_count) is int
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             fit([[1.0], [math.nan]], [0.0, 1.0], single_tree_config())
@@ -777,12 +805,13 @@ class TestScreenedSearch:
         """``rank[f]`` is each value's index among column f's distinct
         values, as ``np.unique`` gives it, and ``ind[:, b]`` is ``x <= v``
         for the j-th distinct value v of ``feature[b]``, where b is that
-        feature's j-th boundary. Columns: signed zeros, adjacent floats, a
-        constant, and 1, 16 and 17 boundaries; the last is exact, the
-        constants neither screened nor exact. Columns of at most two values
-        and the others are ranked apart, 16 columns at a time, so the whole
-        matrix is taken twice over, and a matrix with none of the first kind
-        and one with none of the second are checked too."""
+        feature's j-th boundary. Columns: signed zeros, alone and beside two
+        other values, adjacent floats, a constant, and 1, 16 and 17
+        boundaries; the last is exact, the constants neither screened nor
+        exact. Columns of at most two values and the others are ranked
+        apart, 16 columns at a time, so the whole matrix is taken twice
+        over, and a matrix with none of the first kind and one with none of
+        the second are checked too."""
         rng = np.random.default_rng(seed)
 
         def column(values):
@@ -800,11 +829,12 @@ class TestScreenedSearch:
             column([-0.0, 1.0]),
             column([-1.0, np.nextafter(-1.0, 0.0)]),
             column([0.0, 1e-300]),
+            column([-0.0, 0.0, 1.0, 2.0]),
         ])
-        X = np.column_stack([X, X])  # 20 columns: two blocks of the comparison
-        every = [0] + [1] * 3 + [3] + [4] * 16 + [7, 8, 9]
+        X = np.column_stack([X, X])  # 22 columns: two blocks of the comparison
+        every = [0] + [1] * 3 + [3] + [4] * 16 + [7, 8, 9] + [10] * 2
         for cols, exact, feature in [
-            (range(20), [5, 15], every + [f + 10 for f in every]),
+            (range(22), [5, 16], every + [f + 11 for f in every]),
             ([1, 4, 5], [2], [0] * 3 + [1] * 16),
             ([0, 2, 3, 6, 7, 8, 9], [], [0, 2, 4, 5, 6]),
         ]:
