@@ -8,25 +8,27 @@ read them, seed) is written next to every model and report.
 
 Config grammar::
 
-    [data]                      [forest]
-    train = path                n_trees = 120
-    dev_fraction = 0.2          max_features_per_split = 750
-    eval_on = dev               min_samples_leaf = 1
+    [data]                      [features]
+    train = path                preset = lcp_rit
+    dev_fraction = 0.2          enabled = length,syllables
+    eval_on = dev               trigram_min_count = 5
+                                trigram_max_vocab = 700
+    [run]                       frequency_source = lexicon
+    seed = 42
+    threads = 1                 [forest]
+                                n_trees = 120
+    [pos]                       max_features_per_split = 750
+    tag_lexicon = path          min_samples_leaf = 1
                                 min_samples_split = 2
-    [features]                  max_depth = none
-    preset = lcp_rit            bootstrap = true
-    enabled = length,syllables  seed = 42       # default: [run] seed
-    trigram_min_count = 5
-    trigram_max_vocab = 700     [run]
-    frequency_source = lexicon  seed = 42
-                                threads = 1
-
-    [pos]
-    tag_lexicon = path
+                                max_depth = none
+                                bootstrap = true
+                                # default: [run] seed
+                                seed = 42
 
     [lexicon:prevalence]
     path = prevalence.tsv
-    kind = continuous           # or binary
+    # or binary
+    kind = continuous
     term_column = 0
     value_column = 1
     lowercase = true
@@ -48,6 +50,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .corpus import band_of, parse_dataset, split_rows, split_train_dev
@@ -98,28 +101,26 @@ def _parse_bool(raw: str, where: str) -> bool:
     raise DataError(f"config {where}: expected a boolean, got {raw!r}")
 
 
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise DataError(f"config {where}: expected an integer, got {raw!r}") from None
+def _number(convert: Callable[[str], int | float], noun: str) -> Callable[[str, str], int | float]:
+    """The parser of a config value that ``convert`` reads, naming ``noun`` when it cannot."""
+
+    def parse(raw: str, where: str) -> int | float:
+        try:
+            return convert(raw)
+        except ValueError:
+            raise DataError(f"config {where}: expected {noun}, got {raw!r}") from None
+
+    return parse
 
 
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise DataError(f"config {where}: expected a number, got {raw!r}") from None
-
-
-def _parse_str(raw: str, where: str) -> str:
-    return raw
-
+_parse_int = _number(int, "an integer")
 
 #: Parser of a config value, by the annotation of the field it sets.
 _PARSERS = {
-    "str": _parse_str,
+    "str": lambda raw, where: raw,
+    "str | None": lambda raw, where: raw,  # a path or a preset name: "none" is a name here
     "int": _parse_int,
+    "float": _number(float, "a number"),
     "bool": _parse_bool,
     "int | None": lambda raw, where: None if raw.lower() == "none" else _parse_int(raw, where),
     # FeatureConfig checks the names, as it does those of a preset
@@ -128,34 +129,36 @@ _PARSERS = {
 
 #: Every ``[section] key`` of the run config: the RunConfig attribute it sets
 #: (``features.NAME`` and ``forest.NAME`` are field NAME of the feature and
-#: forest configs) and its parser.
+#: forest configs), whose annotation picks its parser.
 _KEYS = {
-    ("data", "train"): ("train_path", _parse_str),
-    ("data", "dev_fraction"): ("dev_fraction", _parse_float),
-    ("data", "eval_on"): ("eval_on", _parse_str),
-    ("features", "preset"): ("preset", _parse_str),
-    **{("features", f.name): (f"features.{f.name}", _PARSERS[f.type]) for f in fields(FeatureConfig)},
-    **{("forest", f.name): (f"forest.{f.name}", _PARSERS[f.type]) for f in fields(ForestConfig)},
-    ("run", "seed"): ("seed", _parse_int),
-    ("run", "threads"): ("threads", _parse_int),
-    ("pos", "tag_lexicon"): ("pos_lexicon", _parse_str),
+    ("data", "train"): "train_path",
+    ("data", "dev_fraction"): "dev_fraction",
+    ("data", "eval_on"): "eval_on",
+    ("features", "preset"): "preset",
+    **{("features", f.name): f"features.{f.name}" for f in fields(FeatureConfig)},
+    **{("forest", f.name): f"forest.{f.name}" for f in fields(ForestConfig)},
+    ("run", "seed"): "seed",
+    ("run", "threads"): "threads",
+    ("pos", "tag_lexicon"): "pos_lexicon",
 }
 
-#: The ``[section] key`` that each common flag sets; a flag given wins over the file.
-_FLAGS = {
-    "train": ("data", "train"), "dev_fraction": ("data", "dev_fraction"), "eval_on": ("data", "eval_on"),
-    "preset": ("features", "preset"), "features": ("features", "enabled"),
-    "seed": ("run", "seed"), "threads": ("run", "threads"),
-}
+#: Each common flag and a ``[section] key`` it sets; a flag given wins over the file.
+_FLAGS = (
+    ("train", "data", "train"), ("dev_fraction", "data", "dev_fraction"), ("eval_on", "data", "eval_on"),
+    ("preset", "features", "preset"), ("features", "features", "enabled"),
+    ("seed", "run", "seed"), ("seed", "forest", "seed"), ("threads", "run", "threads"),
+)
 
 
 def _set(cfg: RunConfig, section: str, key: str, raw: str) -> None:
-    """Parse ``raw`` as the value of ``[section] key`` and set it in ``cfg``."""
-    target, parse = _KEYS[section, key]
-    value = parse(raw, f"[{section}] {key}")
-    owner, _, name = target.rpartition(".")
+    """Parse ``raw`` by the annotation of the field that ``[section] key``
+    sets, and set it in ``cfg``."""
+    owner, _, name = _KEYS[section, key].rpartition(".")
+    holder = getattr(cfg, owner) if owner else cfg
+    annotation = next(f.type for f in fields(holder) if f.name == name)
+    value = _PARSERS[annotation](raw, f"[{section}] {key}")
     if owner:  # a field of cfg.features or cfg.forest, which checks the value
-        value = replace(getattr(cfg, owner), **{name: value})
+        value = replace(holder, **{name: value})
     setattr(cfg, owner or name, value)
 
 
@@ -208,11 +211,9 @@ def load_run_config(path: str | None) -> RunConfig:
 
 def _apply_common_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     """``cfg`` with the flags given applied, checked before any input is read."""
-    for flag, (section, key) in _FLAGS.items():
+    for flag, section, key in _FLAGS:
         if getattr(args, flag, None) is not None:
             _set(cfg, section, key, str(getattr(args, flag)))
-    if args.seed is not None:
-        cfg.forest = replace(cfg.forest, seed=cfg.seed)
     if getattr(args, "features", None) is not None:
         cfg.preset = None
     if cfg.threads < 0:
@@ -284,7 +285,7 @@ def _config_snapshot(cfg: RunConfig, sections: tuple[str, ...]) -> dict:
     attribute it sets. The thread count is left out, because it never
     changes an output byte."""
     snap = {}
-    for (section, key), (target, _) in _KEYS.items():
+    for (section, key), target in _KEYS.items():
         if section in sections and (section, key) != ("run", "threads"):
             value = attrgetter(target)(cfg)
             snap[f"{section}.{key}"] = ",".join(sorted(value)) if isinstance(value, frozenset) else value

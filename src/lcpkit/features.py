@@ -23,7 +23,7 @@ from typing import IO, Callable, Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from .corpus import Instance
-from .errors import DataError, ResourceError, check_config_types, decode_utf8
+from .errors import DataError, ResourceError, check_config, decode_utf8
 from .lexicons import (
     BINARY, CONTINUOUS, Lexicon, LexiconRegistry, LexiconSpec, lookup, merge_average, merge_binary_union,
 )
@@ -135,11 +135,7 @@ class FeatureConfig:
         unknown = self.enabled - set(FEATURE_FAMILIES)
         if unknown:
             raise ValueError(f"unknown feature families: {sorted(unknown)}")
-        check_config_types(self)
-        if self.trigram_min_count < 1:
-            raise ValueError("trigram_min_count must be >= 1")
-        if self.trigram_max_vocab < 1:
-            raise ValueError("trigram_max_vocab must be >= 1")
+        check_config(self, trigram_min_count=1, trigram_max_vocab=1)
         if self.frequency_source not in FREQUENCY_SOURCES:
             raise ValueError(f"frequency_source must be one of {FREQUENCY_SOURCES}")
 

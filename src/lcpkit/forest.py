@@ -35,7 +35,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError, ResourceError, check_config_types, decode_utf8
+from .errors import DataError, ResourceError, check_config, decode_utf8
 
 _MAGIC = "LCPMODEL"
 _VERSION = 1
@@ -73,17 +73,7 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_config_types(self)
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_features_per_split < 1:
-            raise ValueError(f"max_features_per_split must be >= 1, got {self.max_features_per_split}")
-        if self.min_samples_leaf < 1:
-            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        if self.min_samples_split < 2:
-            raise ValueError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError(f"max_depth must be None or >= 0, got {self.max_depth}")
+        check_config(self, n_trees=1, max_features_per_split=1, min_samples_leaf=1, min_samples_split=2, max_depth=0)
 
 
 class Tree:

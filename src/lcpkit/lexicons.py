@@ -15,7 +15,7 @@ from itertools import repeat
 from types import MappingProxyType
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
-from .errors import DataError, decode_utf8
+from .errors import DataError, check_config, decode_utf8
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -34,12 +34,11 @@ class LexiconSpec:
     skip_rows: int = 0
 
     def __post_init__(self):
+        check_config(self, term_column=0, value_column=0, skip_rows=0)
         if self.kind not in (CONTINUOUS, BINARY):
             raise ValueError(f"lexicon {self.name!r}: kind must be continuous or binary")
         if self.term_column == self.value_column:
             raise ValueError(f"lexicon {self.name!r}: term_column equals value_column")
-        if self.term_column < 0 or self.value_column < 0 or self.skip_rows < 0:
-            raise ValueError(f"lexicon {self.name!r}: negative column or skip_rows")
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,20 @@ def load_lexicon(spec: LexiconSpec, source: IO[bytes] | bytes) -> Lexicon:
 def _columns(spec: LexiconSpec, lines: list[str]) -> tuple[list[str], list[float]] | None:
     """The term and the value of each line, or None when a line has a problem
     that ``_line_problem`` names. A column is every ``width``-th cell: unless
-    all lines have one width that holds both columns, each line is cut, or
-    padded with empty cells that the checks refuse, to the ``need`` cells."""
+    all lines have one width, each line is cut to the ``need`` cells. A line
+    too short for both columns is refused before any cell is cut."""
     tabs = list(map(str.count, lines, repeat("\t")))
     if not tabs:
         return [], []
-    width, need = max(tabs) + 1, max(spec.term_column, spec.value_column) + 1
-    if min(tabs) + 1 == width >= need:
+    narrowest, width = min(tabs) + 1, max(tabs) + 1
+    need = max(spec.term_column, spec.value_column) + 1
+    if narrowest < need:
+        return None
+    if narrowest == width:
         cells = "\t".join(lines).split("\t")
     else:
-        width, pad = need, "\t" * need
-        cells = [cell for line in lines for cell in (line + pad).split("\t", need)[:need]]
+        width = need
+        cells = [cell for line in lines for cell in line.split("\t", need)[:need]]
     term_cells, value_cells = cells[spec.term_column :: width], cells[spec.value_column :: width]
     terms = list(map(str.strip, term_cells))
     if not all(terms):

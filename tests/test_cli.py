@@ -10,16 +10,17 @@ import shutil
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcpkit import cli, forest
-from lcpkit.cli import _KEYS, _parse_predictions, load_run_config, main
+from lcpkit.cli import _KEYS, _PARSERS, RunConfig, _parse_predictions, load_run_config, main
 from lcpkit.corpus import split_train_dev
 from lcpkit.errors import DataError, LcpkitError
-from lcpkit.features import PRESETS
-from lcpkit.forest import load_model
+from lcpkit.features import PRESETS, FeatureConfig
+from lcpkit.forest import ForestConfig, load_model
 from lcpkit.lexicons import LexiconSpec
 
 from conftest import mutated, mutated_json, random_word, synthetic_complexity, tsv_inputs
@@ -330,6 +331,39 @@ class TestTrain:
                    "--model", workspace["tmp"] / "m.lcpmodel", "--features", families)
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("line", [
+        'lowercase = "false"', "skip_rows = True", "term_column = 1.0", 'value_column = "1"',
+        "term_column = -1", "value_column = -1", "skip_rows = -1",
+    ])
+    def test_bad_lexicon_value_exits_2_with_one_error_line(self, tmp_path, line, capsys):
+        cfg = tmp_path / "lexicon.ini"
+        cfg.write_text(f"[lexicon:x]\npath = x.tsv\n{line}\n")
+        assert run("train", "--config", cfg, "--model", tmp_path / "m.lcpmodel") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and "[lexicon:x]" in err and err.count("\n") == 1
+        assert not (tmp_path / "m.lcpmodel").exists()
+
+    @pytest.mark.parametrize("owner,name", [
+        *(target.rpartition(".")[::2] for target in _KEYS.values()),
+        *(("lexicon", f.name) for f in fields(LexiconSpec)),
+    ])
+    def test_every_config_field_has_a_parser(self, owner, name):
+        """Each key's parser is picked by the annotation of the field it
+        sets, so a field with an annotation ``_PARSERS`` cannot read fails here."""
+        holder = {"": RunConfig, "features": FeatureConfig, "forest": ForestConfig, "lexicon": LexiconSpec}[owner]
+        assert next(f.type for f in fields(holder) if f.name == name) in _PARSERS
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.S | re.M)
+        assert len(blocks) == 1
+        (tmp_path / "run.ini").write_text(blocks[0], encoding="utf-8")
+        cfg = load_run_config(str(tmp_path / "run.ini"))
+        assert (cfg.train_path, cfg.preset, cfg.seed, cfg.forest.seed) == ("complex_train.tsv", "lcp_rit", 42, 42)
+        assert cfg.features.frequency_source == "lexicon"
+        assert (cfg.lexicons["arousal"].value_column, cfg.lexicons["aoa_1981"].skip_rows) == (2, 1)
+        assert cfg.lexicons["prior_complexity_cwi"].kind == "binary"
 
     def test_config_preset_is_checked_where_it_is_used(self, tmp_path):
         # a --preset flag may replace a bad preset from the config file

@@ -557,6 +557,16 @@ class TestLexiconTagger:
         with pytest.raises(DataError, match="line 1"):
             LexiconTagger.load(b"river\tNN\n")
 
+    @pytest.mark.parametrize("data,message", [
+        (b"river\tNOUN\nrun\n", "pos lexicon line 2: expected 2 columns"),
+        (b"river\tNOUN\nrun\tVERB\n\n", "pos lexicon line 3: expected 2 columns"),
+        (b"river\tNOUN\nrun\tVERB\n \tNOUN\n", "pos lexicon line 3: empty term"),
+        (b"\tNOUN\n", "pos lexicon line 1: empty term"),
+    ])
+    def test_bad_line_refused_naming_it(self, data, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            LexiconTagger.load(data)
+
     def test_purity(self):
         tagger = LexiconTagger({"cat": "NOUN"})
         assert tagger("cat", "a") == tagger("cat", "b") == "NOUN"

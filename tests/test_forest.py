@@ -143,6 +143,24 @@ class TestFit:
         assert cfg == ForestConfig(n_trees=2, max_depth=3, seed=4)
         assert type(FeatureConfig(enabled={"length"}, trigram_min_count=np.int64(3)).trigram_min_count) is int
 
+    @pytest.mark.parametrize("config,field,value,message", [
+        (ForestConfig, "n_trees", 0, "n_trees must be >= 1, got 0"),
+        (ForestConfig, "max_features_per_split", -3, "max_features_per_split must be >= 1, got -3"),
+        (ForestConfig, "min_samples_leaf", 0, "min_samples_leaf must be >= 1, got 0"),
+        (ForestConfig, "min_samples_split", np.int64(1), "min_samples_split must be >= 2, got 1"),
+        (ForestConfig, "max_depth", -1, "max_depth must be None or >= 0, got -1"),
+        (FeatureConfig, "trigram_min_count", 0, "trigram_min_count must be >= 1, got 0"),
+        (FeatureConfig, "trigram_max_vocab", 0, "trigram_max_vocab must be >= 1, got 0"),
+    ])
+    def test_config_values_below_their_minimum_rejected(self, config, field, value, message):
+        enabled = {"enabled": {"length"}} if config is FeatureConfig else {}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config(**enabled, **{field: value})
+
+    def test_config_minimums_are_inclusive(self):
+        assert ForestConfig(n_trees=1, min_samples_split=2, max_depth=0).max_depth == 0
+        assert FeatureConfig(enabled={"length"}, trigram_min_count=1, trigram_max_vocab=1).trigram_max_vocab == 1
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             fit([[1.0], [math.nan]], [0.0, 1.0], single_tree_config())

@@ -1,7 +1,9 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +92,25 @@ class TestLoad:
         with pytest.raises(ValueError):
             LexiconSpec(name="x", path="x.tsv", term_column=1, value_column=1)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("lowercase", "false", "config lowercase must be true or false, got 'false'"),
+        ("lowercase", 0, "config lowercase must be true or false, got 0"),
+        ("skip_rows", True, "config skip_rows must be an integer, got True"),
+        ("term_column", 1.0, "config term_column must be an integer, got 1.0"),
+        ("value_column", "1", "config value_column must be an integer, got '1'"),
+        ("term_column", -1, "term_column must be >= 0, got -1"),
+        ("value_column", -2, "value_column must be >= 0, got -2"),
+        ("skip_rows", -1, "skip_rows must be >= 0, got -1"),
+    ])
+    def test_spec_rejects_values_the_reader_cannot_use(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LexiconSpec(name="x", path="x.tsv", **{field: value})
+
+    def test_spec_integers_may_be_any_integral(self):
+        spec = LexiconSpec(name="x", path="x.tsv", value_column=np.int64(2), skip_rows=np.uint8(1))
+        assert (type(spec.value_column), type(spec.skip_rows)) == (int, int)
+        assert load_lexicon(spec, b"header\ndog\t9\t2.5\n").entries == {"dog": 2.5}
+
     def test_one_wide_row_costs_memory_in_proportion_to_the_file(self):
         """Rows are cut to the cells the term and value columns need, not
         padded to the widest row's width."""
@@ -101,6 +122,21 @@ class TestLoad:
         finally:
             tracemalloc.stop()
         assert len(entries) == 5001
+        assert peak <= 100 * len(data)
+
+    def test_a_far_value_column_is_refused_before_any_cell_is_cut(self):
+        """A file too narrow for the value column is refused at its first
+        line without padding any row to that column. 200 rows keep the test
+        small should rows be padded again: each padded row costs about
+        ``8 * value_column`` bytes."""
+        data = b"".join(b"w%d\t%d\n" % (i, i % 7) for i in range(200))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"^lexicon 'test' line 1: expected at least 100001 columns, found 2$"):
+                load_lexicon(cont_spec(value_column=10**5), data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 100 * len(data)
 
 
