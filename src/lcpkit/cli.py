@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .corpus import band_of, parse_dataset, split_rows, split_train_dev
+from .corpus import Instance, band_of, parse_dataset, split_rows, split_train_dev
 from .errors import DataError, LcpkitError, ResourceError, decode_utf8
 from .evaluation import AblationRow, MetricsReport, evaluate, format_metric, render_report
 from .features import PRESETS, FeatureConfig, FeatureSchema, LexiconTagger, check_resources
@@ -245,6 +245,16 @@ def _read_input(cfg: RunConfig, path: str, what: str) -> bytes:
     return data
 
 
+def _read_dataset(cfg: RunConfig, path: str, what: str, has_gold: bool) -> list[Instance]:
+    """The instances of dataset ``path`` (see ``_read_input``); a DataError
+    names the file."""
+    data = _read_input(cfg, path, what)
+    try:
+        return parse_dataset(data, has_gold)
+    except DataError as exc:
+        raise DataError(f"{what} {path}: {exc}") from None
+
+
 def _write_file(path: Path, data: bytes, what: str) -> None:
     try:
         path.write_bytes(data)
@@ -339,7 +349,7 @@ def _load_training(cfg: RunConfig, train_path: str, feature_config: FeatureConfi
     """The train/dev split of the training dataset, and the lexicons and the
     POS tagger that ``feature_config`` reads, loaded first."""
     registry, tagger = load_resources(cfg, feature_config)
-    instances = parse_dataset(_read_input(cfg, train_path, "training dataset"), has_gold=True)
+    instances = _read_dataset(cfg, train_path, "training dataset", has_gold=True)
     return split_train_dev(instances, cfg.dev_fraction, cfg.seed), registry, tagger
 
 
@@ -378,7 +388,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     cfg.features = schema.config
     cfg.forest = model.config
     registry, tagger = load_resources(cfg, schema.config)
-    instances = parse_dataset(_read_input(cfg, args.input, "input dataset"), has_gold=False)
+    instances = _read_dataset(cfg, args.input, "input dataset", has_gold=False)
     scores = predict_scores(instances, schema, model, registry, tagger)
     lines = ["id\tprediction\tband"]
     for inst, score in zip(instances, scores):
@@ -417,7 +427,7 @@ def _parse_predictions(data: bytes, path: str) -> dict[str, float]:
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     predictions = _parse_predictions(_read_input(cfg, args.pred, "predictions file"), args.pred)
-    gold_instances = parse_dataset(_read_input(cfg, args.gold, "gold dataset"), has_gold=True)
+    gold_instances = _read_dataset(cfg, args.gold, "gold dataset", has_gold=True)
     labeled = [inst for inst in gold_instances if inst.gold is not None]
     if not labeled:
         raise DataError(f"gold dataset {args.gold} contains no labeled instances")
@@ -466,7 +476,7 @@ def cmd_coverage(args, cfg: RunConfig) -> int:
         raise ResourceError(f"lexicon {args.lexicon!r} is not configured (add [lexicon:{args.lexicon}])")
     spec = cfg.lexicons[args.lexicon]
     lex = load_lexicon(spec, _read_file(spec.path, f"lexicon {args.lexicon!r}"))
-    instances = parse_dataset(_read_file(train_path, "training dataset"), has_gold=True)
+    instances = _read_dataset(cfg, train_path, "training dataset", has_gold=True)
     vocab = sorted({lex.normalize(inst.token.strip()) for inst in instances})
     stat = coverage(lex, vocab)
     print(

@@ -128,7 +128,7 @@ def parse_dataset(source: IO[bytes] | bytes, has_gold: bool) -> list[Instance]:
         if gold_cell.strip():
             if not has_gold:
                 raise DataError(
-                    f"line {line_no}: id {inst_id!r} has a complexity value but has_gold=False"
+                    f"line {line_no}: id {inst_id!r} has a complexity value, but this input must be unlabeled"
                 )
             try:
                 gold = float(gold_cell)

@@ -639,6 +639,10 @@ def fit(
     The targets must keep ``n * max |y|`` below 2**511, where no sum of
     squared errors the split search forms can overflow.
 
+    The model file holds one feature name per line: a name holding ``\\n``,
+    ``[config]`` and any name starting ``[tree`` are refused; any other
+    name saves and loads verbatim.
+
     ``n_threads`` trees are grown at once (0: one per usable CPU), each in a
     forked worker process; with one, or where fork is unavailable, they are
     grown in this process and no process is started. Results are identical
@@ -665,8 +669,7 @@ def fit(
         if len(feature_names) != d:
             raise ValueError(f"expected {d} feature names, got {len(feature_names)}")
         for j, name in enumerate(feature_names):
-            # the model file holds one name per line, and its section heads end the names
-            if "".join(name.splitlines()) != name or name == "[config]" or name.startswith("[tree"):
+            if "\n" in name or name == "[config]" or name.startswith("[tree"):
                 raise ValueError(f"feature name {j} ({name!r}) cannot be written to a model file")
 
     if n_threads < 0:
@@ -885,9 +888,9 @@ def _read_tree(text: bytes) -> tuple | None:
     return split, feature, number[split], left, right, number[~split]
 
 
-def _parse_head(lines: list[str]) -> tuple[list[str], ForestConfig, int]:
-    """The schema and the config of a model file's lines, and the index of
-    the line that ends the config, which must open ``[tree 0]``."""
+def _parse_head(lines: list[str]) -> tuple[list[str], ForestConfig]:
+    """The schema and the config of a model file's lines; the line that ends
+    the config, if any, must open ``[tree 0]``."""
     if not lines:
         raise DataError("model file: empty stream")
     head = lines[0].split(" ")
@@ -918,7 +921,7 @@ def _parse_head(lines: list[str]) -> tuple[list[str], ForestConfig, int]:
     config = _parse_config_lines(pairs)
     if end < len(lines) and lines[end] != "[tree 0]":
         raise DataError(f"model file line {end + 1}: unexpected section {lines[end]!r}")
-    return names, config, end
+    return names, config
 
 
 def _first_bad_line(text: bytes, number: int, headers: bool = False) -> DataError | None:
@@ -937,19 +940,17 @@ def load_model(source: IO[bytes] | bytes) -> RandomForest:
     a line in a tree section that is not a node line as save_model writes
     it).
 
-    The head, up to the line ``[tree 0]``, is read as text, and each
-    ``[tree i]`` section from its bytes (see ``_read_tree``).
+    Every line ends at ``\\n`` (the last one may leave it out). The head, up
+    to the line ``[tree 0]``, is read as text, and each ``[tree i]`` section
+    from its bytes (see ``_read_tree``).
     """
     raw = bytes(source if isinstance(source, (bytes, bytearray)) else source.read())
     data = raw if raw.endswith(b"\n") else raw + b"\n"
     start = data.find(b"\n[tree 0]\n") + 1
-    text = decode_utf8(raw[: start or len(raw)], "model file:")
-    head = text.splitlines()
-    names, config, end = _parse_head([*head, "[tree 0]"] if start else head)
-    if end < len(head):
-        # [tree 0] shares its line, or a break other than "\n" ends it
-        k = "".join(text.splitlines(True)[:end]).count("\n")
-        raise _first_bad_line(data.split(b"\n", k + 1)[k] + b"\n", k + 1)
+    head = decode_utf8(raw[: start or len(raw)], "model file:").split("\n")
+    if not head[-1]:
+        head.pop()  # the empty string after the head's final newline
+    names, config = _parse_head([*head, "[tree 0]"] if start else head)
     if not start:
         raise DataError("model file: truncated, expected [tree 0]")
     heads = [start]

@@ -108,24 +108,27 @@ def fit_and_evaluate(
     """
     if eval_on not in EVAL_SIDES:
         raise ValueError(f"eval_on must be one of {EVAL_SIDES}, got {eval_on!r}")
+    side = split.dev if eval_on == "dev" else split.train
+    # both gold vectors first, so a row without its score costs no fit
+    y, gold = gold_vector(split.train), gold_vector(side)
     schema = fit_schema(split.train, registry, feature_config, tagger)
     X = extract_matrix(split.train, schema, registry, tagger)
-    y = gold_vector(split.train)
     model = forest.fit(X, y, forest_config, feature_names=schema.columns, n_threads=n_threads)
-    side = split.dev if eval_on == "dev" else split.train
     report = None
     if side:
-        pred = predict_scores(side, schema, model, registry, tagger)
-        report = evaluation.evaluate(pred, gold_vector(side))
+        report = evaluation.evaluate(predict_scores(side, schema, model, registry, tagger), gold)
     return TrainResult(schema=schema, model=model, report=report)
 
 
 def ablation_features(baseline: FeatureConfig, candidates: Sequence[str]) -> FeatureConfig:
     """The features of every row of an ablation: the baseline's and every
-    candidate's. Raises ValueError on an unknown or repeated candidate."""
+    candidate's. Raises ValueError on an unknown or repeated candidate, or
+    on one the baseline already has."""
     features = with_families(baseline, *candidates)
     if len(set(candidates)) != len(candidates):
         raise ValueError("duplicate candidate families")
+    if present := [name for name in candidates if name in baseline.enabled]:
+        raise ValueError(f"candidate families already in the baseline: {', '.join(present)}")
     return features
 
 

@@ -130,10 +130,12 @@ def reference_load_lexicon(spec: LexiconSpec, source: bytes) -> dict[str, float]
 
 def reference_load_model(data: bytes) -> RandomForest:
     """The model ``forest.load_model`` must return for ``data``, or the
-    DataError it must raise: the whole text split into lines and each tree
-    section into tokens, each number read by ``int`` or ``float``, then
-    every check in order."""
-    lines = decode_utf8(data, "model file:").splitlines()
+    DataError it must raise: the whole text split into lines at ``\\n`` and
+    each tree section into tokens, each number read by ``int`` or ``float``,
+    then every check in order."""
+    lines = decode_utf8(data, "model file:").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty string after the final newline
     if not lines:
         raise DataError("model file: empty stream")
     head = lines[0].split(" ")

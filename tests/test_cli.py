@@ -123,6 +123,25 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "dev metrics" in out
 
+    def test_tokens_holding_line_breaks_train_and_predict(self, workspace):
+        """A token may hold a form feed or U+2028: the trigram columns that
+        hold them are written to the model file, and predict reads it."""
+        header, *rows = workspace["train"].read_bytes().decode().split("\n")[:-1]
+        for k, row in enumerate(rows):
+            ident, corpus, _, word, gold = row.split("\t")
+            token = word + ("\x0cil" if k % 2 else "\u2028ab")
+            rows[k] = f"{ident}\t{corpus}\tthe {token} was seen\t{token}\t{gold}"
+        workspace["train"].write_bytes("".join(f"{row}\n" for row in [header, *rows]).encode())
+        unlabeled = workspace["tmp"] / "input.tsv"
+        unlabeled.write_bytes((f"{header}\n" + "".join(f"{row[: row.rindex(chr(9))]}\t\n" for row in rows)).encode())
+        model, pred = workspace["tmp"] / "m.lcpmodel", workspace["tmp"] / "pred.tsv"
+        assert run("train", "--config", workspace["config"], "--features", "length,char_trigrams",
+                   "--model", model, "--quiet") == 0
+        assert {"tri:\x0cil", "tri:\u2028ab"} <= set(load_model(model.read_bytes()).feature_names)
+        assert run("predict", "--config", workspace["config"], "--model", model,
+                   "--input", unlabeled, "--output", pred, "--quiet") == 0
+        assert pred.read_bytes().count(b"\n") == len(rows) + 1
+
     def test_train_deterministic_bytes(self, workspace):
         a = workspace["tmp"] / "a.lcpmodel"
         b = workspace["tmp"] / "b.lcpmodel"
@@ -409,6 +428,17 @@ class TestPredict:
             assert 0.0 <= float(pred) <= 1.0
             assert len(pred.split(".")[1]) == 3
             assert band in {"very_easy", "easy", "neutral", "difficult", "very_difficult"}
+
+    def test_labeled_input_names_the_file(self, workspace, trained, capsys):
+        out = workspace["tmp"] / "pred.tsv"
+        code = run("predict", "--config", workspace["config"], "--model", trained,
+                   "--input", workspace["train"], "--output", out)
+        assert (code, capsys.readouterr().err) == (
+            2,
+            f"error: input dataset {workspace['train']}: line 2: id 't0000' has a complexity value,"
+            " but this input must be unlabeled\n",
+        )
+        assert not out.exists()
 
     def test_predict_empty_input(self, workspace, trained):
         empty = workspace["tmp"] / "empty.tsv"
@@ -742,6 +772,14 @@ class TestAblate:
                    "--report", report)
         assert code == 2
         assert capsys.readouterr().err == "error: duplicate candidate families\n"
+        assert not report.exists()
+
+    def test_candidates_in_the_baseline_refused_before_any_input(self, workspace, capsys):
+        report = workspace["tmp"] / "present.md"
+        code = run("ablate", "--train", workspace["tmp"] / "missing.tsv", "--preset", "lcp_rit",
+                   "--candidates", "familiarity_mrc,aoa,arousal", "--report", report)
+        assert code == 2
+        assert capsys.readouterr().err == "error: candidate families already in the baseline: aoa, arousal\n"
         assert not report.exists()
 
     def test_empty_evaluation_side_is_data_error(self, workspace, capsys):

@@ -76,7 +76,7 @@ class TestParse:
 
     def test_gold_value_with_has_gold_false_rejected(self):
         data = dataset_tsv([("x1", "bible", "a cat sat", "cat", "0.4")])
-        with pytest.raises(DataError, match="has_gold"):
+        with pytest.raises(DataError, match="has a complexity value, but this input must be unlabeled"):
             parse_dataset(data, has_gold=False)
 
     def test_crlf_accepted(self, tiny_corpus_bytes):

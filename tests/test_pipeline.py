@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import cache
 from unittest import mock
 
@@ -77,6 +78,15 @@ class TestFitAndEvaluate:
         unlabeled = [Instance("u1", "bible", "a word here", "word", None)] + instances[1:]
         split = split_train_dev(unlabeled, 0.2, seed=3)
         with pytest.raises(DataError, match="gold"):
+            fit_and_evaluate(split, registry, FEATURES, FOREST)
+
+    def test_missing_gold_rejected_before_any_fit(self, monkeypatch):
+        instances, registry = toy_world(n=20)
+        split = split_train_dev(instances, 0.2, seed=3)
+        unlabeled = replace(split.dev[0], gold=None)
+        split = replace(split, dev=(unlabeled, *split.dev[1:]))
+        monkeypatch.setattr(forest, "fit", mock.Mock(side_effect=AssertionError("fitted")))
+        with pytest.raises(DataError, match=rf"^1 instance\(s\) lack a gold complexity value: {unlabeled.id}$"):
             fit_and_evaluate(split, registry, FEATURES, FOREST)
 
     def test_gold_vector_lists_offenders(self):
